@@ -11,6 +11,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use m2x_tensor::{Matrix, Xoshiro};
 use m2xfp::format::{ActTensor, PackedActTensor, PackedWeightTensor, WeightTensor};
+use m2xfp::gemm::{gemm_threads, qgemm_packed_planed_scratch, GemmScratch, WeightPlane};
 use m2xfp::{activation, weight, GroupConfig, M2xfpConfig, ScaleRule};
 use std::hint::black_box;
 
@@ -102,17 +103,21 @@ fn core_primitives(c: &mut Criterion) {
     g.bench_function("grouped_pipeline", |b| {
         b.iter(|| black_box(m2xfp::gemm::qgemm(black_box(&xt), black_box(&wt))));
     });
+    // One-shot packed calls: weight-plane decode, fresh scratch, kernel.
+    let packed = |threads| {
+        qgemm_packed_planed_scratch(
+            black_box(&xp),
+            &WeightPlane::decode(black_box(&wp)),
+            threads,
+            &mut GemmScratch::new(),
+        )
+    };
     g.bench_function("packed_1thread", |b| {
-        b.iter(|| {
-            black_box(m2xfp::gemm::qgemm_packed_threaded(
-                black_box(&xp),
-                black_box(&wp),
-                1,
-            ))
-        });
+        b.iter(|| black_box(packed(1)));
     });
+    let threads = gemm_threads(m, k, n);
     g.bench_function("packed_threaded", |b| {
-        b.iter(|| black_box(m2xfp::gemm::qgemm_packed(black_box(&xp), black_box(&wp))));
+        b.iter(|| black_box(packed(threads)));
     });
     g.bench_function("f64_reference", |b| {
         b.iter(|| black_box(m2xfp::gemm::qgemm_reference(black_box(&xt), black_box(&wt))));

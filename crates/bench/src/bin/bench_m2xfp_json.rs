@@ -1,7 +1,8 @@
 //! JSON throughput emitter for the M2XFP quantize + qGEMM hot path.
 //!
 //! Times the legacy grouped pipeline against the packed three-stream
-//! pipeline on the same data, verifies the two GEMMs agree bit for bit, and
+//! pipeline on the same data, verifies both GEMMs equal the f64 reference
+//! bit for bit, and
 //! writes `results/BENCH_m2xfp.json`. This is the artifact behind the
 //! recorded throughput baseline (`BENCH_m2xfp.json` at the repo root).
 //!
@@ -25,8 +26,7 @@ use m2x_telemetry::alloc_probe::CountingAlloc;
 use m2x_tensor::{Matrix, Xoshiro};
 use m2xfp::format::{ActTensor, PackedActTensor, PackedWeightTensor, WeightTensor};
 use m2xfp::gemm::{
-    qgemm, qgemm_packed, qgemm_packed_inreg, qgemm_packed_threaded, qgemm_reference, qgemv_packed,
-    GemmScratch, WeightPlane,
+    gemm_threads, qgemm, qgemm_packed_planed_scratch, qgemm_reference, GemmScratch, WeightPlane,
 };
 use m2xfp::M2xfpConfig;
 use std::hint::black_box;
@@ -62,6 +62,16 @@ fn time_keep<O>(reps: usize, mut f: impl FnMut() -> O) -> (f64, O) {
         best = best.min(t0.elapsed().as_secs_f64());
     }
     (best, out.expect("reps >= 1"))
+}
+
+/// Bitwise equality of two matrices (f32 `==` would equate ±0 and miss
+/// NaN payloads).
+fn bits_eq(a: &Matrix, b: &Matrix) -> bool {
+    (a.rows(), a.cols()) == (b.rows(), b.cols())
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(p, q)| p.to_bits() == q.to_bits())
 }
 
 /// Runs the `m2x-lint` R1–R4 scan over the workspace this binary was
@@ -118,27 +128,30 @@ fn main() {
     let xt = ActTensor::quantize(&x, cfg);
     let xp = PackedActTensor::from_grouped(&xt);
 
-    // GEMM throughput.
+    // GEMM throughput. A packed timing covers the one-shot call: the
+    // weight-plane decode, a fresh scratch and the kernel.
+    let packed_gemm = |threads| {
+        qgemm_packed_planed_scratch(
+            &xp,
+            &WeightPlane::decode(&wp),
+            threads,
+            &mut GemmScratch::new(),
+        )
+    };
+    let threads = gemm_threads(m, k, n);
     let t_gemm_grouped = time(reps, || qgemm(&xt, &wt));
-    let t_gemm_packed_1t = time(reps, || qgemm_packed_threaded(&xp, &wp, 1));
-    let t_gemm_packed_mt = time(reps, || qgemm_packed(&xp, &wp));
+    let t_gemm_packed_1t = time(reps, || packed_gemm(1));
+    let t_gemm_packed_mt = time(reps, || packed_gemm(threads));
 
-    // Bit-exactness of the two pipelines on this data.
-    let a = qgemm(&xt, &wt);
-    let b = qgemm_packed(&xp, &wp);
-    let exact = a
-        .as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .all(|(p, q)| p.to_bits() == q.to_bits());
+    // Bit-exactness of both pipelines against the f64 oracle on this data.
+    let want = qgemm_reference(&xt, &wt);
+    let exact = bits_eq(&want, &qgemm(&xt, &wt)) && bits_eq(&want, &packed_gemm(threads));
 
     // Decode-kernel section: the m == 1 GEMV shape serving hits once per
-    // projection per layer per decode step. `speedup_gemv` (grouped PE
-    // pipeline over the register-blocked GEMV fast path, both at m == 1,
-    // both in this process) is the hardware-normalized ratio CI
-    // hard-gates; `speedup_planed_vs_inreg` records how much the cached
-    // WeightPlane + scratch route wins over the one-shot in-register
-    // nibble-decode kernel on the same shape.
+    // projection per layer per decode step, through a cached WeightPlane
+    // and a reused scratch. `speedup_gemv` (grouped PE pipeline over the
+    // register-blocked packed kernel, both at m == 1, both in this
+    // process) is the hardware-normalized ratio CI hard-gates.
     let x1 = Matrix::from_fn(1, k, |_, _| rng.laplace(1.0));
     let x1t = ActTensor::quantize(&x1, cfg);
     let x1p = PackedActTensor::from_grouped(&x1t);
@@ -151,12 +164,7 @@ fn main() {
     let dk_iters = (4_000_000 / (k * n)).max(1);
     let t_dk_gemv = time(reps, || {
         for _ in 0..dk_iters {
-            black_box(qgemv_packed(&x1p, &plane, &mut scratch));
-        }
-    }) / dk_iters as f64;
-    let t_dk_inreg = time(reps, || {
-        for _ in 0..dk_iters {
-            black_box(qgemm_packed_inreg(&x1p, &wp, 1));
+            black_box(qgemm_packed_planed_scratch(&x1p, &plane, 1, &mut scratch));
         }
     }) / dk_iters as f64;
     let t_dk_grouped = time(reps, || {
@@ -164,19 +172,10 @@ fn main() {
             black_box(qgemm(&x1t, &wt));
         }
     }) / dk_iters as f64;
-    let dk_want = qgemm_reference(&x1t, &wt);
-    let dk_gemv = qgemv_packed(&x1p, &plane, &mut scratch);
-    let dk_inreg = qgemm_packed_inreg(&x1p, &wp, 1);
-    let decode_exact = dk_want
-        .as_slice()
-        .iter()
-        .zip(dk_gemv.as_slice())
-        .all(|(p, q)| p.to_bits() == q.to_bits())
-        && dk_want
-            .as_slice()
-            .iter()
-            .zip(dk_inreg.as_slice())
-            .all(|(p, q)| p.to_bits() == q.to_bits());
+    let decode_exact = bits_eq(
+        &qgemm_reference(&x1t, &wt),
+        &qgemm_packed_planed_scratch(&x1p, &plane, 1, &mut scratch),
+    );
 
     // Whole-model §6 end-to-end section: fixed small dims (independent of
     // M2X_BENCH_DIM, so the committed baseline stays comparable across
@@ -319,10 +318,8 @@ fn main() {
   "decode_kernel": {{
     "grouped_s": {t_dk_grouped:.6},
     "gemv_s": {t_dk_gemv:.6},
-    "inreg_s": {t_dk_inreg:.6},
     "gemv_melem_per_s": {dk_tput:.2},
     "speedup_gemv": {dk_sp:.3},
-    "speedup_planed_vs_inreg": {dk_pi:.3},
     "decode_exact": {decode_exact}
   }},
   "e2e_model": {{
@@ -476,8 +473,8 @@ fn main() {
         e2e_layers = e2e.cfg.layers,
         e2e_tokens = e2e.cfg.tokens,
         e2e_quant = e2e.quantize_s,
-        e2e_fp = e2e.forward_packed_s,
-        e2e_fg = e2e.forward_grouped_s,
+        e2e_fp = e2e.forward_batch_packed_s,
+        e2e_fg = e2e.forward_batch_grouped_s,
         e2e_gmacs = e2e.gmacs,
         e2e_speedup = e2e.speedup_packed,
         e2e_exact = e2e.backends_exact,
@@ -504,7 +501,6 @@ fn main() {
         enc_speedup = t_enc_grouped / t_enc_packed,
         dk_tput = (k * n) as f64 / t_dk_gemv / 1e6,
         dk_sp = t_dk_grouped / t_dk_gemv,
-        dk_pi = t_dk_inreg / t_dk_gemv,
         gemm_tput = macs / t_gemm_packed_mt / 1e9,
         g1 = t_gemm_grouped / t_gemm_packed_1t,
         gmt = t_gemm_grouped / t_gemm_packed_mt,

@@ -440,7 +440,7 @@ mod tests {
   "weight_search_exact": true,
   "qgemm": {"packed_threaded_s": 0.002, "speedup_1thread": 5.3},
   "quantize_plus_qgemm": {"packed_threaded_s": 0.003, "speedup_1thread": 3.2},
-  "decode_kernel": {"gemv_s": 0.0001, "gemv_melem_per_s": 650.0, "speedup_gemv": 6.0, "speedup_planed_vs_inreg": 1.8, "decode_exact": true},
+  "decode_kernel": {"gemv_s": 0.0001, "gemv_melem_per_s": 650.0, "speedup_gemv": 6.0, "decode_exact": true},
   "e2e_model": {"hidden": 128, "layers": 2, "tokens": 16, "gmacs": 2.1, "speedup_packed": 3.0, "backends_exact": true, "nrmse": 0.05},
   "serve": {"hidden": 128, "layers": 2, "requests": 6, "max_batch": 6, "batch_s": 0.05, "speedup_batch": 1.3, "req_per_s": 120.0, "decode_tok_per_s": 960.0, "solo_decode_tok_per_s": 740.0, "batch_exact": true, "chaos_exact": true, "zero_leak": true, "shed_rate": 0.5, "p99_step_us_churn": 900.0, "recovery_ticks": 2},
   "kv_pool": {"hidden": 128, "layers": 2, "requests": 8, "prefix_tokens": 32, "max_batch": 4, "reuse_exact": true, "zero_leak": true, "prefix_hits": 7, "prefix_misses": 3, "hit_rate": 0.4, "page_allocs": 12, "page_reuses": 8, "cow_clones": 0, "peak_pages": 9, "fragmentation": 0.2},

@@ -43,9 +43,9 @@ fn main() {
          (grouped {:.4}s, {:.2}x) | decode {:.1} tok/s | NRMSE {:.4} | backends_exact {}",
         r.quantize_s,
         r.weight_bytes,
-        r.forward_packed_s,
+        r.forward_batch_packed_s,
         r.gmacs,
-        r.forward_grouped_s,
+        r.forward_batch_grouped_s,
         r.speedup_packed,
         r.decode_tokens_per_s,
         r.nrmse,

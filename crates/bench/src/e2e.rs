@@ -65,9 +65,9 @@ pub struct E2eReport {
     /// layers (seconds).
     pub quantize_s: f64,
     /// Best-of-reps batched forward on the packed backend (seconds).
-    pub forward_packed_s: f64,
+    pub forward_batch_packed_s: f64,
     /// Best-of-reps batched forward on the grouped backend (seconds).
-    pub forward_grouped_s: f64,
+    pub forward_batch_grouped_s: f64,
     /// Whole-model throughput of the packed batched forward (GMAC/s).
     pub gmacs: f64,
     /// Hardware-normalized whole-model ratio grouped/packed.
@@ -115,11 +115,11 @@ pub fn run(cfg: E2eConfig) -> E2eReport {
 
     let (quantize_s, mut model) =
         time_best(cfg.reps, || build(&profile, &cfg, BackendKind::Packed));
-    let (forward_packed_s, y_packed) =
+    let (forward_batch_packed_s, y_packed) =
         time_best(cfg.reps, || model.forward_batch(&x).expect("aligned"));
 
     let mut grouped = build(&profile, &cfg, BackendKind::Grouped);
-    let (forward_grouped_s, y_grouped) =
+    let (forward_batch_grouped_s, y_grouped) =
         time_best(cfg.reps, || grouped.forward_batch(&x).expect("aligned"));
     let backends_exact = y_packed
         .as_slice()
@@ -164,10 +164,10 @@ pub fn run(cfg: E2eConfig) -> E2eReport {
         intermediate: model.intermediate(),
         weight_bytes: model.weight_bytes(),
         quantize_s,
-        forward_packed_s,
-        forward_grouped_s,
-        gmacs: macs / forward_packed_s / 1e9,
-        speedup_packed: forward_grouped_s / forward_packed_s,
+        forward_batch_packed_s,
+        forward_batch_grouped_s,
+        gmacs: macs / forward_batch_packed_s / 1e9,
+        speedup_packed: forward_batch_grouped_s / forward_batch_packed_s,
         backends_exact,
         decode_tokens_per_s: cfg.decode_steps as f64 / decode_s,
         nrmse,
@@ -212,8 +212,8 @@ impl E2eReport {
             kvh = self.kv_heads,
             wb = self.weight_bytes,
             qs = self.quantize_s,
-            fp = self.forward_packed_s,
-            fg = self.forward_grouped_s,
+            fp = self.forward_batch_packed_s,
+            fg = self.forward_batch_grouped_s,
             gm = self.gmacs,
             sp = self.speedup_packed,
             ex = self.backends_exact,

@@ -10,8 +10,8 @@
 //! for accuracy:
 //!
 //! * [`PackedBackend`] — the production hot path: branch-free packed
-//!   activation encode, cached [`WeightPlane`] decode, cache-blocked
-//!   threaded integer [`qgemm_packed_planed`](crate::gemm::qgemm_packed_planed).
+//!   activation encode, cached [`WeightPlane`] decode, register-blocked
+//!   threaded integer [`qgemm_packed_planed_scratch`].
 //! * [`GroupedBackend`] — the legacy `Vec<Group>` pipeline, demoted to a
 //!   readable reference implementation of the PE ([`qgemm`]).
 //! * [`ReferenceBackend`] — the float oracle: dequantize both operands and
@@ -26,17 +26,19 @@
 //! use m2x_tensor::Matrix;
 //! use m2xfp::backend::BackendKind;
 //! use m2xfp::format::PackedWeightTensor;
+//! use m2xfp::gemm::GemmScratch;
 //! use m2xfp::M2xfpConfig;
 //!
 //! let cfg = M2xfpConfig::default();
 //! let w = Matrix::from_fn(8, 64, |r, c| ((r * 64 + c) as f32 * 0.1).sin());
 //! let x = Matrix::from_fn(4, 64, |r, c| ((r + c) as f32 * 0.2).cos());
 //! let packed = PackedWeightTensor::quantize_parallel(&w, cfg);
+//! let mut scratch = GemmScratch::new();
 //! let mut outs = Vec::new();
 //! for kind in BackendKind::ALL {
 //!     let be = kind.backend();
 //!     let prepared = be.prepare(packed.clone());
-//!     outs.push(be.forward(&x, &prepared)?);
+//!     outs.push(be.forward_scratch(&x, &prepared, &mut scratch)?);
 //! }
 //! assert_eq!(outs[0], outs[1]); // packed == grouped, bit for bit
 //! assert_eq!(outs[1], outs[2]); // grouped == reference
@@ -45,8 +47,7 @@
 
 use crate::format::{ActTensor, PackedActTensor, PackedWeightTensor, WeightTensor};
 use crate::gemm::{
-    gemm_threads, qgemm, qgemm_packed_planed_scratch, qgemm_reference, qgemv_packed, GemmScratch,
-    WeightPlane,
+    gemm_threads, qgemm, qgemm_packed_planed_scratch, qgemm_reference, GemmScratch, WeightPlane,
 };
 use crate::{Error, M2xfpConfig};
 use m2x_tensor::Matrix;
@@ -247,34 +248,26 @@ pub trait ExecBackend: Send + Sync + std::fmt::Debug {
     /// across forwards.
     fn prepare(&self, weights: PackedWeightTensor) -> PreparedWeights;
 
-    /// W4A4 forward `y = Q_a(x) · Wᵀ` against prepared weights.
+    /// W4A4 forward `y = Q_a(x) · Wᵀ` against prepared weights, with a
+    /// caller-held reusable [`GemmScratch`].
+    ///
+    /// On the packed backend the activation scratch is reused across calls
+    /// instead of allocated fresh — serving sessions hold one scratch and
+    /// route every projection and attention score GEMM through here.
+    /// Single-row inputs run the kernel inline ([`gemm_threads`] picks one
+    /// worker). Backends without a scratch to reuse ignore it; every
+    /// backend computes identical bits.
     ///
     /// # Errors
     ///
     /// Fails when `x.cols()` does not match the weights' reduction
     /// dimension, or when `w` was prepared into a different backend's form.
-    fn forward(&self, x: &Matrix, w: &PreparedWeights) -> Result<Matrix, Error>;
-
-    /// [`Self::forward`] with a caller-held reusable [`GemmScratch`].
-    ///
-    /// On the packed backend this is the decode hot-loop entry point:
-    /// single-row inputs take the [`qgemv_packed`] GEMV fast path (no
-    /// row-chunk threading) and the activation scratch is reused across
-    /// calls instead of allocated fresh — serving sessions hold one scratch
-    /// and route every projection through here. Backends without a scratch
-    /// to reuse simply ignore it; every path computes identical bits.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::forward`].
     fn forward_scratch(
         &self,
         x: &Matrix,
         w: &PreparedWeights,
-        _scratch: &mut GemmScratch,
-    ) -> Result<Matrix, Error> {
-        self.forward(x, w)
-    }
+        scratch: &mut GemmScratch,
+    ) -> Result<Matrix, Error>;
 
     /// Quantizes `rows` (Sg-EM search) and appends them below prepared
     /// weights, updating the execution form incrementally — O(rows) per
@@ -294,10 +287,6 @@ pub trait ExecBackend: Send + Sync + std::fmt::Debug {
     /// backend's online encoder — the form error measurement flows
     /// through. Bit-identical across backends.
     fn fake_quantize_activations(&self, x: &Matrix, cfg: M2xfpConfig) -> Matrix;
-
-    /// Fake-quantizes weights (Sg-EM search + dequantize) through this
-    /// backend's weight pipeline. Bit-identical across backends.
-    fn fake_quantize_weights(&self, w: &Matrix, cfg: M2xfpConfig) -> Matrix;
 }
 
 fn check_forward(x: &Matrix, w: &PreparedWeights) -> Result<(), Error> {
@@ -333,10 +322,6 @@ impl ExecBackend for PackedBackend {
         PreparedWeights::new(weights, ExecForm::Plane(plane))
     }
 
-    fn forward(&self, x: &Matrix, w: &PreparedWeights) -> Result<Matrix, Error> {
-        self.forward_scratch(x, w, &mut GemmScratch::default())
-    }
-
     fn forward_scratch(
         &self,
         x: &Matrix,
@@ -351,21 +336,12 @@ impl ExecBackend for PackedBackend {
         // Auto-threaded online encode; decode-sized batches stay
         // single-threaded below the work threshold.
         let xq = PackedActTensor::quantize_parallel(x, *w.config());
-        if x.rows() == 1 {
-            // The serving decode shape: GEMV fast path, no row-chunk
-            // threading, activation scratch reused from the caller.
-            return Ok(qgemv_packed(&xq, plane, scratch));
-        }
         let threads = gemm_threads(x.rows(), k, n);
         Ok(qgemm_packed_planed_scratch(&xq, plane, threads, scratch))
     }
 
     fn fake_quantize_activations(&self, x: &Matrix, cfg: M2xfpConfig) -> Matrix {
         PackedActTensor::quantize_parallel(x, cfg).dequantize()
-    }
-
-    fn fake_quantize_weights(&self, w: &Matrix, cfg: M2xfpConfig) -> Matrix {
-        PackedWeightTensor::quantize_parallel(w, cfg).dequantize()
     }
 }
 
@@ -384,7 +360,12 @@ impl ExecBackend for GroupedBackend {
         PreparedWeights::new(weights, ExecForm::Grouped(grouped))
     }
 
-    fn forward(&self, x: &Matrix, w: &PreparedWeights) -> Result<Matrix, Error> {
+    fn forward_scratch(
+        &self,
+        x: &Matrix,
+        w: &PreparedWeights,
+        _scratch: &mut GemmScratch,
+    ) -> Result<Matrix, Error> {
         check_forward(x, w)?;
         let ExecForm::Grouped(grouped) = w.exec() else {
             return Err(form_error(self, w));
@@ -395,10 +376,6 @@ impl ExecBackend for GroupedBackend {
 
     fn fake_quantize_activations(&self, x: &Matrix, cfg: M2xfpConfig) -> Matrix {
         ActTensor::quantize(x, cfg).dequantize()
-    }
-
-    fn fake_quantize_weights(&self, w: &Matrix, cfg: M2xfpConfig) -> Matrix {
-        WeightTensor::quantize(w, cfg).dequantize()
     }
 }
 
@@ -417,7 +394,12 @@ impl ExecBackend for ReferenceBackend {
         GroupedBackend.prepare(weights)
     }
 
-    fn forward(&self, x: &Matrix, w: &PreparedWeights) -> Result<Matrix, Error> {
+    fn forward_scratch(
+        &self,
+        x: &Matrix,
+        w: &PreparedWeights,
+        _scratch: &mut GemmScratch,
+    ) -> Result<Matrix, Error> {
         check_forward(x, w)?;
         let ExecForm::Grouped(grouped) = w.exec() else {
             return Err(form_error(self, w));
@@ -428,12 +410,6 @@ impl ExecBackend for ReferenceBackend {
 
     fn fake_quantize_activations(&self, x: &Matrix, cfg: M2xfpConfig) -> Matrix {
         GroupedBackend.fake_quantize_activations(x, cfg)
-    }
-
-    fn fake_quantize_weights(&self, w: &Matrix, cfg: M2xfpConfig) -> Matrix {
-        // The float-codec Sg-EM search — the slow oracle the LUT search is
-        // pinned against.
-        WeightTensor::quantize_reference(w, cfg).dequantize()
     }
 }
 
@@ -448,6 +424,11 @@ mod tests {
         })
     }
 
+    /// A forward through a fresh scratch.
+    fn forward(be: &dyn ExecBackend, x: &Matrix, w: &PreparedWeights) -> Result<Matrix, Error> {
+        be.forward_scratch(x, w, &mut GemmScratch::new())
+    }
+
     #[test]
     fn backends_bit_identical_including_ragged() {
         let cfg = M2xfpConfig::default();
@@ -460,7 +441,7 @@ mod tests {
                 assert_eq!(be.kind(), kind);
                 let prepared = be.prepare(w.clone());
                 assert_eq!(prepared.shape(), (7, cols));
-                outs.push(be.forward(&x, &prepared).unwrap());
+                outs.push(forward(be, &x, &prepared).unwrap());
             }
             for o in &outs[1..] {
                 for (a, b) in outs[0].as_slice().iter().zip(o.as_slice()) {
@@ -471,22 +452,23 @@ mod tests {
     }
 
     #[test]
-    fn forward_scratch_matches_forward_bitwise() {
-        // The scratch-reusing entry point (GEMV fast path at one row,
-        // scratch-backed planed kernel above) is bit-identical to the
-        // allocating forward on every backend, with one scratch reused
-        // across shapes and backends.
+    fn forward_scratch_matches_reference_bitwise() {
+        // The scratch-reusing forward equals the f64 oracle on every
+        // backend — one row (the decode shape), a few rows and ragged K —
+        // with one scratch reused across shapes and backends.
         let cfg = M2xfpConfig::default();
-        let w = PackedWeightTensor::quantize_parallel(&mat(7, 96, 9.0), cfg);
         let mut scratch = GemmScratch::new();
-        for kind in BackendKind::ALL {
-            let be = kind.backend();
-            let prepared = be.prepare(w.clone());
-            for rows in [1usize, 4] {
-                let x = mat(rows, 96, 2.0);
-                let a = be.forward(&x, &prepared).unwrap();
-                let b = be.forward_scratch(&x, &prepared, &mut scratch).unwrap();
-                assert_eq!(a, b, "{kind:?} rows={rows}");
+        for cols in [96usize, 80] {
+            let w = PackedWeightTensor::quantize_parallel(&mat(7, cols, 9.0), cfg);
+            for kind in BackendKind::ALL {
+                let be = kind.backend();
+                let prepared = be.prepare(w.clone());
+                for rows in [1usize, 2, 3, 4] {
+                    let x = mat(rows, cols, 2.0);
+                    let want = qgemm_reference(&ActTensor::quantize(&x, cfg), &w.to_grouped());
+                    let got = be.forward_scratch(&x, &prepared, &mut scratch).unwrap();
+                    assert_eq!(got, want, "{kind:?} rows={rows} cols={cols}");
+                }
             }
         }
     }
@@ -536,11 +518,9 @@ mod tests {
         let base_a = BackendKind::Packed
             .backend()
             .fake_quantize_activations(&x, cfg);
-        let base_w = BackendKind::Packed.backend().fake_quantize_weights(&x, cfg);
         for kind in [BackendKind::Grouped, BackendKind::Reference] {
             let be = kind.backend();
             assert_eq!(be.fake_quantize_activations(&x, cfg), base_a, "{kind:?}");
-            assert_eq!(be.fake_quantize_weights(&x, cfg), base_w, "{kind:?}");
         }
     }
 
@@ -552,16 +532,16 @@ mod tests {
         let grouped = BackendKind::Grouped.backend().prepare(w);
         let bad = mat(2, 65, 0.0);
         assert!(matches!(
-            BackendKind::Packed.backend().forward(&bad, &packed),
+            forward(BackendKind::Packed.backend(), &bad, &packed),
             Err(Error::WidthMismatch { .. })
         ));
         let x = mat(2, 64, 0.0);
         assert!(matches!(
-            BackendKind::Packed.backend().forward(&x, &grouped),
+            forward(BackendKind::Packed.backend(), &x, &grouped),
             Err(Error::BackendMismatch { .. })
         ));
         assert!(matches!(
-            BackendKind::Grouped.backend().forward(&x, &packed),
+            forward(BackendKind::Grouped.backend(), &x, &packed),
             Err(Error::BackendMismatch { .. })
         ));
     }
@@ -587,8 +567,8 @@ mod tests {
                 }
                 let fresh = be.prepare(PackedWeightTensor::quantize_parallel(&full, cfg));
                 assert_eq!(grown, fresh, "cols={cols} {kind:?}");
-                let a = be.forward(&x, &grown).unwrap();
-                let b = be.forward(&x, &fresh).unwrap();
+                let a = forward(be, &x, &grown).unwrap();
+                let b = forward(be, &x, &fresh).unwrap();
                 for (p, q) in a.as_slice().iter().zip(b.as_slice()) {
                     assert_eq!(p.to_bits(), q.to_bits(), "cols={cols} {kind:?}");
                 }
@@ -614,13 +594,13 @@ mod tests {
                 .iter()
                 .map(|x| {
                     let mine = shared.clone(); // O(1): Arc, no re-decode
-                    s.spawn(move || be.forward(x, &mine).unwrap())
+                    s.spawn(move || forward(be, x, &mine).unwrap())
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         for (x, got) in xs.iter().zip(&from_threads) {
-            let independent = be.forward(x, &be.prepare(w.clone())).unwrap();
+            let independent = forward(be, x, &be.prepare(w.clone())).unwrap();
             for (p, q) in independent.as_slice().iter().zip(got.as_slice()) {
                 assert_eq!(p.to_bits(), q.to_bits());
             }

@@ -626,7 +626,7 @@ macro_rules! packed_accessors {
 }
 
 /// Activations in the flat three-stream layout (§5.2): the representation
-/// [`crate::gemm::qgemm_packed`] consumes directly.
+/// [`crate::gemm::qgemm_packed_planed_scratch`] consumes directly.
 ///
 /// Unlike [`ActTensor`] (a `Vec` of heap-allocated per-group structs kept
 /// for interop and the streaming-engine model), this type holds exactly

@@ -8,33 +8,30 @@
 //!
 //! Everything is exact integer arithmetic in units of 1/64 (activations are
 //! multiples of 1/8 after FP6 refinement, weights multiples of 1/2, the
-//! multiplier contributes a /4), so [`qgemm`], the packed cache-blocked
-//! [`qgemm_packed`] and the floating-point reference [`qgemm_reference`]
-//! all agree **exactly**, which the tests and property tests assert.
+//! multiplier contributes a /4), so [`qgemm`], the packed register-blocked
+//! [`qgemm_packed_planed_scratch`] and the floating-point reference
+//! [`qgemm_reference`] all agree **exactly**, which the tests and property
+//! tests assert.
 //!
-//! Several implementations are provided, all bit-identical:
+//! Four GEMMs, all bit-identical:
 //!
-//! * [`qgemm`] — the readable per-group pipeline over the legacy grouped
-//!   tensors, decoding through the integer LUTs of `m2x_formats::tables`
-//!   (no float decode round-trip anywhere).
-//! * [`qgemm_packed_planed`] — the production hot path over a pre-decoded
-//!   [`WeightPlane`]: a register-blocked micro-kernel accumulating
-//!   `NR` output columns per activation-row pass (scale products hoisted
-//!   out of the group loop, i16×i16→i32 tiles the autovectorizer turns
-//!   into wide multiply-adds), tiled over output row chunks (scoped
-//!   threads via [`m2x_tensor::matrix::par_row_chunks`]) × `COL_TILE`
-//!   column tiles so a weight tile stays cache-hot across the row block.
-//! * [`qgemv_packed`] — the `m == 1` decode fast path serving hits once
-//!   per projection per layer per step: no row-chunk threading, and the
-//!   activation scratch lives in a caller-held reusable [`GemmScratch`]
-//!   instead of three fresh `Vec`s per call — the decode hot loop is
-//!   allocation-free after warm-up.
-//! * [`qgemm_packed_inreg`] — the in-register nibble-decode variant: it
-//!   consumes the [`PackedWeightTensor`] streams directly (nibble extract,
-//!   LUT and subgroup-hoisted multiplier inside the dot product) without
-//!   materializing a [`WeightPlane`], for cold weights and one-shot calls
-//!   where an O(N·K) decode pass would dominate. [`qgemm_packed`] routes
-//!   small-`m` one-shot calls here automatically.
+//! * [`qgemm_packed_planed_scratch`] — the production path for any number
+//!   of rows, over a pre-decoded [`WeightPlane`] with a caller-held
+//!   [`GemmScratch`]: a register-blocked micro-kernel accumulating `NR`
+//!   output columns × `MR` activation rows per pass (scale products
+//!   hoisted out of the group loop, i16×i16→i32 tiles the autovectorizer
+//!   turns into wide multiply-adds), tiled over output row chunks (scoped
+//!   threads via [`m2x_tensor::matrix::par_row_chunks`], inline at one
+//!   thread) × `COL_TILE` column tiles so a weight tile stays cache-hot
+//!   across the row block.
+//! * [`qgemv_packed_into`] — the same micro-kernel at `m == 1`, writing
+//!   into a caller-held output row: zero heap allocations once the scratch
+//!   is warm, which `tests/alloc_gate.rs` pins.
+//! * [`qgemm`] — the readable per-group PE model over the grouped tensors,
+//!   decoding through the integer LUTs of `m2x_formats::tables` (no float
+//!   decode round-trip anywhere); the hardware-unit models of `m2x-accel`
+//!   are pinned against it.
+//! * [`qgemm_reference`] — the f64 oracle every kernel is tested against.
 
 use crate::format::{ActTensor, PackedActTensor, PackedWeightTensor, WeightTensor};
 use m2x_formats::packing::two_bits_at;
@@ -66,12 +63,6 @@ const NR: usize = 4;
 /// this shape: a handful of single-token rows stacked per projection).
 /// `m == 1` GEMV calls degrade gracefully to a 1×[`NR`] block.
 const MR: usize = 4;
-
-/// Row-count ceiling below which [`qgemm_packed`] prefers the in-register
-/// nibble-decode kernel over decoding a full [`WeightPlane`] first: the
-/// plane decode is one extra O(N·K) pass over the weight streams, which
-/// only amortizes once several activation rows reuse the decoded plane.
-const INREG_MAX_ROWS: usize = 2;
 
 /// An activation group decoded to integers: values ×8, plus the shared
 /// exponent.
@@ -189,57 +180,22 @@ pub fn qgemm(x: &ActTensor, w: &WeightTensor) -> Matrix {
 /// medium GEMMs stay single-threaded.
 const GEMM_MACS_PER_THREAD: usize = 8 << 20;
 
-/// Worker count [`qgemm_packed`] auto-selects for an `M×K×N` problem: one
-/// thread per `GEMM_MACS_PER_THREAD` MACs, capped at the available cores
-/// and at the output row count (row chunks are the parallel grain), never
-/// below one.
+/// Worker count for an `M×K×N` packed GEMM: one thread per
+/// `GEMM_MACS_PER_THREAD` MACs, capped at the available cores and at the
+/// output row count (row chunks are the parallel grain), never below one.
+///
+/// Problems that cannot use a second worker — a single row, or at most one
+/// thread's worth of MACs — return 1 without querying the OS:
+/// `available_parallelism` costs microseconds per call, and attention
+/// issues one single-row score GEMV per (session, head, KV page) every
+/// decode step.
 pub fn gemm_threads(m: usize, k: usize, n: usize) -> usize {
-    let avail = std::thread::available_parallelism().map_or(1, |t| t.get());
     let macs = m.saturating_mul(k).saturating_mul(n);
-    avail.min(macs / GEMM_MACS_PER_THREAD).min(m.max(1)).max(1)
-}
-
-/// Cache-blocked integer qGEMM over the packed three-stream tensors,
-/// parallelized over output row chunks with scoped threads. Bit-exact
-/// against [`qgemm`] and [`qgemm_reference`].
-///
-/// The worker count comes from [`gemm_threads`] (work-size threshold, so
-/// small/medium GEMMs skip the spawn overhead entirely); see
-/// [`qgemm_packed_threaded`] to pin it (1 reproduces the sequential order
-/// exactly — but every count produces identical bits, since each output
-/// element is computed by exactly one worker).
-///
-/// # Panics
-///
-/// Panics when the reduction dimensions or group geometries disagree.
-pub fn qgemm_packed(x: &PackedActTensor, w: &PackedWeightTensor) -> Matrix {
-    let (m, k) = x.shape();
-    let n = w.shape().0;
-    qgemm_packed_threaded(x, w, gemm_threads(m, k, n))
-}
-
-/// [`qgemm_packed`] with an explicit worker count.
-///
-/// One-shot calls with at most `INREG_MAX_ROWS` activation rows take the
-/// in-register nibble-decode kernel ([`qgemm_packed_inreg`]) — the weight
-/// streams are walked once, in registers, instead of paying a full
-/// [`WeightPlane`] decode pass that nothing reuses. Larger batches decode
-/// the plane once and run the register-blocked kernel over it. Both paths
-/// produce identical bits.
-///
-/// # Panics
-///
-/// Panics when the reduction dimensions or group geometries disagree.
-pub fn qgemm_packed_threaded(
-    x: &PackedActTensor,
-    w: &PackedWeightTensor,
-    threads: usize,
-) -> Matrix {
-    if x.shape().0 <= INREG_MAX_ROWS {
-        qgemm_packed_inreg(x, w, threads)
-    } else {
-        qgemm_packed_planed(x, &WeightPlane::decode(w), threads)
+    if m <= 1 || macs / GEMM_MACS_PER_THREAD <= 1 {
+        return 1;
     }
+    let avail = std::thread::available_parallelism().map_or(1, |t| t.get());
+    avail.min(macs / GEMM_MACS_PER_THREAD).min(m)
 }
 
 /// Reusable activation scratch of the packed kernels: the decoded
@@ -248,8 +204,8 @@ pub fn qgemm_packed_threaded(
 ///
 /// The decode hot loop of a serving session calls a GEMM once per
 /// projection per layer per step; holding one `GemmScratch` per session
-/// (or per engine thread) and passing it to [`qgemv_packed`] /
-/// [`qgemm_packed_planed_scratch`] makes those calls allocation-free
+/// (or per engine thread) and passing it to [`qgemm_packed_planed_scratch`]
+/// or [`qgemv_packed_into`] keeps the activation decode allocation-free
 /// after warm-up — the buffers are cleared and refilled in place, never
 /// reallocated once they have grown to the largest projection width.
 ///
@@ -444,9 +400,8 @@ fn kernel_row_chunk(
 /// vectorize. Max magnitude 12×7 = 84.
 ///
 /// Weights are static across inference calls, so decode once (e.g. at layer
-/// construction) and reuse via [`qgemm_packed_planed`] — [`qgemm_packed`]
-/// re-decodes per call, which wastes an O(N·K) pass when the same weights
-/// are multiplied repeatedly.
+/// construction) and reuse the plane across every
+/// [`qgemm_packed_planed_scratch`] / [`qgemv_packed_into`] call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightPlane {
     n: usize,
@@ -557,34 +512,47 @@ impl WeightPlane {
     }
 }
 
-/// The packed qGEMM kernel over a pre-decoded [`WeightPlane`] — the form
-/// inference layers call repeatedly without paying the weight decode on
-/// every forward. Bit-exact against [`qgemm_reference`].
-///
-/// Allocates a fresh activation scratch per call; hot loops should hold a
-/// [`GemmScratch`] and call [`qgemm_packed_planed_scratch`] (or
-/// [`qgemv_packed`] for the single-row decode shape) instead.
-///
-/// # Panics
-///
-/// Panics when the reduction dimensions or group geometries disagree.
-pub fn qgemm_packed_planed(x: &PackedActTensor, w: &WeightPlane, threads: usize) -> Matrix {
-    qgemm_packed_planed_scratch(x, w, threads, &mut GemmScratch::default())
-}
-
-fn check_planed_geometry(x: &PackedActTensor, w: &WeightPlane) {
+/// The one body of both packed entry points: checks the geometry, decodes
+/// `x` into `scratch` and runs the micro-kernel over the `x.rows() × w.n`
+/// output `out` on `threads` row-chunk workers (inline at one). An empty
+/// output is left untouched.
+// m2x-lint: hot
+fn planed_into(
+    x: &PackedActTensor,
+    w: &WeightPlane,
+    threads: usize,
+    scratch: &mut GemmScratch,
+    out: &mut [f32],
+) {
     assert_eq!(x.shape().1, w.k, "reduction dimension mismatch");
     assert_eq!(
         (x.config().group_size, x.config().subgroup_size),
         (w.group_size, w.subgroup_size),
         "group geometry mismatch"
     );
+    if out.is_empty() {
+        return;
+    }
+    let gs = x.config().group_size;
+    let gpr = x.groups_per_row();
+    let kp = decode_act_plane(x, scratch);
+    let (x8, xscale) = (&scratch.x8[..], &scratch.xscale[..]);
+    let (w16, wscale) = (&w.w16[..], &w.wscale[..]);
+    let n = w.n;
+    par_row_chunks(out, n, threads, |row0, chunk| {
+        kernel_row_chunk(row0, chunk, x8, xscale, w16, wscale, n, gs, kp, gpr);
+    });
 }
 
-/// [`qgemm_packed_planed`] with a caller-held reusable [`GemmScratch`]:
-/// after the first call at a given shape the activation decode reuses the
-/// scratch's buffers in place — no per-call allocations. Zero-row and
-/// zero-column inputs return the corresponding empty matrix.
+/// The packed qGEMM `Y[M,N] = X[M,K] · W^T[N,K]` over a pre-decoded
+/// [`WeightPlane`] — the production entry for any number of rows. The
+/// activation decode reuses the caller-held [`GemmScratch`] in place, so
+/// after the first call at a given shape the only allocation is the output
+/// matrix. `threads` workers split the output rows (see [`gemm_threads`]);
+/// at one thread, or one row, the kernel runs inline on the caller. Every
+/// thread count produces identical bits, bit-exact against
+/// [`qgemm_reference`]. Zero-row and zero-column inputs return the
+/// corresponding empty matrix.
 ///
 /// # Panics
 ///
@@ -596,49 +564,16 @@ pub fn qgemm_packed_planed_scratch(
     threads: usize,
     scratch: &mut GemmScratch,
 ) -> Matrix {
-    check_planed_geometry(x, w);
-    let m = x.shape().0;
-    let n = w.n;
-    if m == 0 || n == 0 {
-        return Matrix::zeros(m, n);
-    }
-    let gs = x.config().group_size;
-    let gpr = x.groups_per_row();
-    let kp = decode_act_plane(x, scratch);
-    let (x8, xscale) = (&scratch.x8[..], &scratch.xscale[..]);
-    let (w16, wscale) = (&w.w16[..], &w.wscale[..]);
-    let mut out = Matrix::zeros(m, n);
-    par_row_chunks(out.as_mut_slice(), n, threads, |row0, chunk| {
-        kernel_row_chunk(row0, chunk, x8, xscale, w16, wscale, n, gs, kp, gpr);
-    });
+    let mut out = Matrix::zeros(x.shape().0, w.n);
+    planed_into(x, w, threads, scratch, out.as_mut_slice());
     out
 }
 
-/// The `m == 1` decode fast path: one activation row against a pre-decoded
-/// [`WeightPlane`], register-blocked like [`qgemm_packed_planed`] but with
-/// no row-chunk threading overhead at all — serving hits this shape once
-/// per projection per layer per decode step, where a scoped-thread
-/// spawn/join would dwarf the kernel. The activation scratch lives in the
-/// caller's [`GemmScratch`], so the call is allocation-free after warm-up
-/// (the `1 × n` output aside). Bit-exact against [`qgemm_reference`].
-///
-/// # Panics
-///
-/// Panics when `x` has more than one row, or when the reduction dimensions
-/// or group geometries disagree.
-// m2x-lint: hot
-pub fn qgemv_packed(x: &PackedActTensor, w: &WeightPlane, scratch: &mut GemmScratch) -> Matrix {
-    // m2x-lint: allow(alloc) the 1 × n output itself; qgemv_packed_into is the zero-alloc surface
-    let mut out = Matrix::zeros(1, w.n);
-    qgemv_packed_into(x, w, scratch, out.as_mut_slice());
-    out
-}
-
-/// [`qgemv_packed`] writing into a caller-held output row: **zero heap
+/// The single-row GEMV writing into a caller-held output row: **zero heap
 /// allocations** once `scratch` is warm at this shape, which
 /// `tests/alloc_gate.rs` pins with a counting global allocator. Bit-exact
-/// against [`qgemv_packed`] (same kernel, same scratch decode, same
-/// accumulation order).
+/// against [`qgemm_packed_planed_scratch`] at one row (same kernel, same
+/// scratch decode, same accumulation order).
 ///
 /// # Panics
 ///
@@ -651,122 +586,9 @@ pub fn qgemv_packed_into(
     scratch: &mut GemmScratch,
     out: &mut [f32],
 ) {
-    assert_eq!(x.shape().0, 1, "qgemv_packed expects exactly one row");
+    assert_eq!(x.shape().0, 1, "qgemv_packed_into expects exactly one row");
     assert_eq!(out.len(), w.n, "output row length mismatch");
-    check_planed_geometry(x, w);
-    if w.n == 0 {
-        return;
-    }
-    let gs = x.config().group_size;
-    let gpr = x.groups_per_row();
-    let kp = decode_act_plane(x, scratch);
-    let (x8, xscale) = (&scratch.x8[..], &scratch.xscale[..]);
-    let (w16, wscale) = (&w.w16[..], &w.wscale[..]);
-    // One row, run inline — the same single-chunk call `par_row_chunks`
-    // makes at `threads <= 1`, so the bits match the threaded kernels.
-    kernel_row_chunk(0, out, x8, xscale, w16, wscale, w.n, gs, kp, gpr);
-}
-
-/// The in-register nibble-decode kernel: consumes the
-/// [`PackedWeightTensor`] streams **directly** — FP4 nibbles are extracted
-/// and LUT-decoded inside the dot product, with the subgroup's `4 + mult`
-/// shift-add refinement hoisted to one integer multiply per subgroup and
-/// the group scale to one multiply per group — so no [`WeightPlane`] is
-/// ever materialized. The exact-integer subgroup regrouping
-/// `Σ_s (4+mult_s)·Σ_t x·w == Σ_t x·(w·(4+mult))` makes it bit-identical
-/// to the planed kernel and [`qgemm_reference`].
-///
-/// This is the right kernel for cold weights and one-shot calls (the
-/// per-call [`qgemm_packed`] route takes it for decode-sized batches): it
-/// walks the weight streams once per activation row, where the planed
-/// route would pay a full O(N·K) decode pass first. For weights reused
-/// across many rows or calls, decode a plane once instead.
-///
-/// # Panics
-///
-/// Panics when the reduction dimensions or group geometries disagree.
-// m2x-lint: hot
-pub fn qgemm_packed_inreg(x: &PackedActTensor, w: &PackedWeightTensor, threads: usize) -> Matrix {
-    let (m, k) = x.shape();
-    let (n, k2) = w.shape();
-    assert_eq!(k, k2, "reduction dimension mismatch");
-    assert_eq!(
-        (x.config().group_size, x.config().subgroup_size),
-        (w.config().group_size, w.config().subgroup_size),
-        "group geometry mismatch"
-    );
-    if m == 0 || n == 0 {
-        return Matrix::zeros(m, n);
-    }
-    let gs = x.config().group_size;
-    let sgs = x.config().subgroup_size;
-    let spg = gs / sgs;
-    let cpg = gs.div_ceil(2);
-    let gpr = x.groups_per_row();
-    let mut scratch = GemmScratch::default();
-    let kp = decode_act_plane(x, &mut scratch);
-    let (x8, xscale) = (&scratch.x8[..], &scratch.xscale[..]);
-    let (codes, scales, meta) = (w.codes(), w.scales(), w.meta());
-
-    // One output element: weight row `j` against a decoded activation row,
-    // groups ascending — the same per-element accumulation order and f64
-    // operand values as every other kernel.
-    let element = |xrow: &[i16], xsr: &[f64], j: usize| -> f32 {
-        let mut acc = 0.0f64;
-        for g in 0..gpr {
-            let wg = j * gpr + g; // weight group index
-            let gb = &codes[wg * cpg..(wg + 1) * cpg];
-            let mut gsum: i32 = 0;
-            for sg in 0..spg {
-                // Slack subgroups of a ragged trailing group hold zero
-                // codes and zero metadata, so they contribute nothing.
-                let mult = (4 + two_bits_at(meta, wg * spg + sg)) as i32;
-                let xsg = &xrow[g * gs + sg * sgs..g * gs + (sg + 1) * sgs];
-                let mut ss: i32 = 0;
-                if sgs % 2 == 0 {
-                    let cb = &gb[sg * sgs / 2..(sg + 1) * sgs / 2];
-                    for (pair, &b) in xsg.chunks_exact(2).zip(cb) {
-                        ss += pair[0] as i32 * FP4_X2[(b & 0xF) as usize] as i32;
-                        ss += pair[1] as i32 * FP4_X2[(b >> 4) as usize] as i32;
-                    }
-                } else {
-                    for (e, &xv) in xsg.iter().enumerate() {
-                        let c = m2x_formats::packing::nibble_at(gb, sg * sgs + e);
-                        ss += xv as i32 * FP4_X2[c as usize] as i32;
-                    }
-                }
-                gsum += ss * mult;
-            }
-            let ws = (m2x_formats::E8M0::from_bits(scales[wg]).exponent() as f64).exp2();
-            acc += gsum as f64 * (xsr[g] * FIXED_POINT_UNIT * ws);
-        }
-        acc as f32
-    };
-
-    let mut out = Matrix::zeros(m, n);
-    if m == 1 {
-        // Single activation row: parallelize over output columns (each
-        // element is one cell of the only output row).
-        let xrow = &x8[..kp];
-        let xsr = &xscale[..gpr];
-        par_row_chunks(out.as_mut_slice(), 1, threads, |j0, chunk| {
-            for (dj, o) in chunk.iter_mut().enumerate() {
-                *o = element(xrow, xsr, j0 + dj);
-            }
-        });
-    } else {
-        par_row_chunks(out.as_mut_slice(), n, threads, |row0, chunk| {
-            for (li, orow) in chunk.chunks_mut(n).enumerate() {
-                let i = row0 + li;
-                let xrow = &x8[i * kp..(i + 1) * kp];
-                let xsr = &xscale[i * gpr..(i + 1) * gpr];
-                for (j, o) in orow.iter_mut().enumerate() {
-                    *o = element(xrow, xsr, j);
-                }
-            }
-        });
-    }
-    out
+    planed_into(x, w, 1, scratch, out);
 }
 
 /// Floating-point reference: dequantizes both tensors and multiplies in
@@ -839,6 +661,17 @@ mod tests {
         }
     }
 
+    /// The production entry through a freshly decoded plane and a fresh
+    /// scratch: the one-shot form of a packed GEMM.
+    fn planed(xp: &PackedActTensor, wp: &PackedWeightTensor, threads: usize) -> Matrix {
+        qgemm_packed_planed_scratch(
+            xp,
+            &WeightPlane::decode(wp),
+            threads,
+            &mut GemmScratch::new(),
+        )
+    }
+
     #[test]
     fn packed_matches_reference_exactly() {
         let cfg = M2xfpConfig::default();
@@ -851,7 +684,7 @@ mod tests {
         let xp = PackedActTensor::quantize(&xm, cfg);
         let wp = PackedWeightTensor::quantize(&wm, cfg);
         for threads in [1, 2, 4] {
-            let got = qgemm_packed_threaded(&xp, &wp, threads);
+            let got = planed(&xp, &wp, threads);
             for i in 0..5 {
                 for j in 0..7 {
                     assert_eq!(
@@ -875,27 +708,29 @@ mod tests {
             &ActTensor::quantize(&xm, cfg),
             &WeightTensor::quantize(&wm, cfg),
         );
-        let got = qgemm_packed(
+        let got = planed(
             &PackedActTensor::quantize(&xm, cfg),
             &PackedWeightTensor::quantize(&wm, cfg),
+            gemm_threads(3, 80, 4),
         );
         assert_eq!(got, want);
     }
 
     #[test]
     fn planed_kernel_matches_per_call_decode() {
-        // A cached WeightPlane reused across calls gives the same bits as
-        // the per-call decode path.
+        // A cached WeightPlane and scratch reused across calls give the
+        // same bits as a fresh decode every call.
         let cfg = M2xfpConfig::default();
         let wm = mat(5, 80, 4.0);
         let wp = PackedWeightTensor::quantize(&wm, cfg);
         let plane = WeightPlane::decode(&wp);
         assert_eq!(plane.shape(), (5, 80));
+        let mut scratch = GemmScratch::new();
         for seed in [0.0, 6.0] {
             let xp = PackedActTensor::quantize(&mat(3, 80, seed), cfg);
             assert_eq!(
-                qgemm_packed_planed(&xp, &plane, 2),
-                qgemm_packed_threaded(&xp, &wp, 2),
+                qgemm_packed_planed_scratch(&xp, &plane, 2, &mut scratch),
+                planed(&xp, &wp, 2),
                 "seed {seed}"
             );
         }
@@ -910,6 +745,7 @@ mod tests {
         // (subgroup 16 → 4 bits/group). The append decodes straight into
         // the existing vectors' tails; no intermediate plane exists to
         // diverge.
+        let mut scratch = GemmScratch::new();
         for cfg in [
             M2xfpConfig::default(),
             M2xfpConfig {
@@ -934,21 +770,21 @@ mod tests {
                 // And the kernel consumes the grown plane bit-identically.
                 let xp = PackedActTensor::quantize(&mat(3, cols, 1.0), cfg);
                 assert_eq!(
-                    qgemm_packed_planed(&xp, &grown, 1),
-                    qgemm_packed_planed(&xp, &want, 1),
+                    qgemm_packed_planed_scratch(&xp, &grown, 1, &mut scratch),
+                    qgemm_packed_planed_scratch(&xp, &want, 1, &mut scratch),
                 );
             }
         }
     }
 
     #[test]
-    fn gemv_and_inreg_match_planed_bitwise() {
-        // The decode fast path (reused scratch) and the in-register
-        // nibble-decode kernel agree with the planed kernel and the f64
-        // reference on the m == 1 serving shape, including NR-unaligned n
-        // and ragged K.
+    fn gemv_matches_planed_and_reference_bitwise() {
+        // The zero-alloc GEMV (reused scratch and output row) and the
+        // planed entry at one row agree with the f64 reference on the
+        // m == 1 serving shape, including NR-unaligned n and ragged K.
         let cfg = M2xfpConfig::default();
         let mut scratch = GemmScratch::new();
+        let mut out = Vec::new();
         for (n, cols) in [(1usize, 64usize), (5, 80), (7, 96), (13, 41)] {
             let xm = mat(1, cols, 2.0);
             let wm = mat(n, cols, 8.0);
@@ -957,32 +793,15 @@ mod tests {
                 &WeightTensor::quantize(&wm, cfg),
             );
             let xp = PackedActTensor::quantize(&xm, cfg);
-            let wp = PackedWeightTensor::quantize(&wm, cfg);
-            let plane = WeightPlane::decode(&wp);
-            // The same scratch is reused across shapes on purpose.
-            let gemv = qgemv_packed(&xp, &plane, &mut scratch);
-            assert_eq!(gemv, want, "gemv n={n} cols={cols}");
+            let plane = WeightPlane::decode(&PackedWeightTensor::quantize(&wm, cfg));
+            // The same scratch and output buffer are reused across shapes
+            // on purpose.
+            out.resize(n, f32::NAN);
+            qgemv_packed_into(&xp, &plane, &mut scratch, &mut out);
+            assert_eq!(out, want.as_slice(), "gemv n={n} cols={cols}");
             for threads in [1, 3] {
-                let inreg = qgemm_packed_inreg(&xp, &wp, threads);
-                assert_eq!(inreg, want, "inreg n={n} cols={cols} threads={threads}");
-            }
-            assert_eq!(qgemm_packed(&xp, &wp), want, "routed n={n} cols={cols}");
-        }
-    }
-
-    #[test]
-    fn inreg_matches_planed_on_multi_row_batches() {
-        let cfg = M2xfpConfig::default();
-        for (m, n, cols) in [(2usize, 6usize, 64usize), (5, 9, 80)] {
-            let xp = PackedActTensor::quantize(&mat(m, cols, 1.0), cfg);
-            let wp = PackedWeightTensor::quantize(&mat(n, cols, 4.0), cfg);
-            let want = qgemm_packed_planed(&xp, &WeightPlane::decode(&wp), 1);
-            for threads in [1, 2] {
-                assert_eq!(
-                    qgemm_packed_inreg(&xp, &wp, threads),
-                    want,
-                    "m={m} n={n} cols={cols} threads={threads}"
-                );
+                let got = qgemm_packed_planed_scratch(&xp, &plane, threads, &mut scratch);
+                assert_eq!(got, want, "planed n={n} cols={cols} threads={threads}");
             }
         }
     }
@@ -994,27 +813,22 @@ mod tests {
         let cfg = M2xfpConfig::default();
         let x0 = PackedActTensor::quantize(&Matrix::zeros(0, 64), cfg);
         let xm = PackedActTensor::quantize(&mat(3, 64, 0.0), cfg);
-        let w0 = PackedWeightTensor::quantize(&Matrix::zeros(0, 64), cfg);
-        let wn = PackedWeightTensor::quantize(&mat(4, 64, 9.0), cfg);
-        let plane0 = WeightPlane::decode(&w0);
-        let planen = WeightPlane::decode(&wn);
+        let w0 = WeightPlane::decode(&PackedWeightTensor::quantize(&Matrix::zeros(0, 64), cfg));
+        let wn = WeightPlane::decode(&PackedWeightTensor::quantize(&mat(4, 64, 9.0), cfg));
         let mut scratch = GemmScratch::new();
         let dims = |y: &Matrix| (y.rows(), y.cols());
         for threads in [1, 2] {
+            let mut run = |x, w| dims(&qgemm_packed_planed_scratch(x, w, threads, &mut scratch));
             // (0, k) × (n, k) → 0 × n.
-            assert_eq!(dims(&qgemm_packed_planed(&x0, &planen, threads)), (0, 4));
-            assert_eq!(dims(&qgemm_packed_inreg(&x0, &wn, threads)), (0, 4));
+            assert_eq!(run(&x0, &wn), (0, 4));
             // (m, k) × (0, k) → m × 0.
-            assert_eq!(dims(&qgemm_packed_planed(&xm, &plane0, threads)), (3, 0));
-            assert_eq!(dims(&qgemm_packed_inreg(&xm, &w0, threads)), (3, 0));
+            assert_eq!(run(&xm, &w0), (3, 0));
             // (0, k) × (0, k) → 0 × 0.
-            assert_eq!(dims(&qgemm_packed_planed(&x0, &plane0, threads)), (0, 0));
-            assert_eq!(dims(&qgemm_packed_inreg(&x0, &w0, threads)), (0, 0));
+            assert_eq!(run(&x0, &w0), (0, 0));
         }
-        assert_eq!(dims(&qgemm_packed(&x0, &wn)), (0, 4));
-        assert_eq!(dims(&qgemm_packed(&xm, &w0)), (3, 0));
+        // One row against zero columns: the GEMV writes nothing.
         let x1 = PackedActTensor::quantize(&mat(1, 64, 5.0), cfg);
-        assert_eq!(dims(&qgemv_packed(&x1, &plane0, &mut scratch)), (1, 0));
+        qgemv_packed_into(&x1, &w0, &mut scratch, &mut []);
         // The grouped kernels agree on the shapes.
         let g0 = ActTensor::quantize(&Matrix::zeros(0, 64), cfg);
         let gw = WeightTensor::quantize(&Matrix::zeros(0, 64), cfg);
@@ -1030,12 +844,36 @@ mod tests {
         let wp = PackedWeightTensor::quantize(&mat(6, 96, 3.0), cfg);
         let plane = WeightPlane::decode(&wp);
         let mut scratch = GemmScratch::new();
+        let (mut reused, mut fresh) = ([0.0f32; 6], [0.0f32; 6]);
         for seed in [0.0f32, 2.0, 4.0, 6.0] {
             let xp = PackedActTensor::quantize(&mat(1, 96, seed), cfg);
-            let reused = qgemv_packed(&xp, &plane, &mut scratch);
-            let fresh = qgemv_packed(&xp, &plane, &mut GemmScratch::new());
+            qgemv_packed_into(&xp, &plane, &mut scratch, &mut reused);
+            qgemv_packed_into(&xp, &plane, &mut GemmScratch::new(), &mut fresh);
             assert_eq!(reused, fresh, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn gemm_threads_guard_matches_formula() {
+        // The early return for single-row and one-worker problems gives
+        // the value of the full formula everywhere.
+        let avail = std::thread::available_parallelism().map_or(1, |t| t.get());
+        let formula = |m: usize, k: usize, n: usize| {
+            let macs = m.saturating_mul(k).saturating_mul(n);
+            avail.min(macs / GEMM_MACS_PER_THREAD).min(m.max(1)).max(1)
+        };
+        let sizes = [0usize, 1, 2, 3, 7, 64, 1024, 4096, 14336, 1 << 20];
+        for m in [0usize, 1, 2, 3, 4, 8, 32, 512, 4096] {
+            for k in sizes {
+                for n in sizes {
+                    assert_eq!(gemm_threads(m, k, n), formula(m, k, n), "m={m} k={k} n={n}");
+                }
+            }
+        }
+        assert_eq!(
+            gemm_threads(usize::MAX, usize::MAX, 2),
+            formula(usize::MAX, usize::MAX, 2)
+        );
     }
 
     #[test]
@@ -1092,9 +930,10 @@ mod tests {
         let w = WeightTensor::quantize(&Matrix::zeros(3, 32), cfg);
         let y = qgemm(&x, &w);
         assert!(y.as_slice().iter().all(|&v| v == 0.0));
-        let yp = qgemm_packed(
+        let yp = planed(
             &PackedActTensor::quantize(&Matrix::zeros(2, 32), cfg),
             &PackedWeightTensor::quantize(&Matrix::zeros(3, 32), cfg),
+            1,
         );
         assert!(yp.as_slice().iter().all(|&v| v == 0.0));
     }
@@ -1114,9 +953,10 @@ mod tests {
             &WeightTensor::quantize(&wm, cfg),
         );
         assert_eq!(a, b);
-        let c = qgemm_packed(
+        let c = planed(
             &PackedActTensor::quantize(&xm, cfg),
             &PackedWeightTensor::quantize(&wm, cfg),
+            2,
         );
         assert_eq!(c, b);
     }

@@ -16,6 +16,7 @@ use crate::profile::ModelProfile;
 use m2x_tensor::{stats, Matrix, Xoshiro};
 use m2xfp::backend::ExecBackend;
 use m2xfp::format::PackedWeightTensor;
+use m2xfp::gemm::GemmScratch;
 use m2xfp::{Error, M2xfpConfig, TensorQuantizer};
 
 /// Row-wise softmax (f32; the probability matrix of attention).
@@ -124,13 +125,14 @@ pub fn evaluate_attention_backend(
     // transpose is the cached weight operand.
     let pk = backend.prepare(PackedWeightTensor::quantize_parallel(k, cfg));
     let pv = backend.prepare(PackedWeightTensor::quantize_parallel(&v.transpose(), cfg));
+    let mut scratch = GemmScratch::new();
     let scores_q = backend
-        .forward(q, &pk)
+        .forward_scratch(q, &pk, &mut scratch)
         .map_err(|e| e.for_tensor("attention scores (Q·Kᵀ)"))?
         .map(|x| x * scale);
     let p_q = softmax_rows(&scores_q);
     let out_q = backend
-        .forward(&p_q, &pv)
+        .forward_scratch(&p_q, &pv, &mut scratch)
         .map_err(|e| e.for_tensor("attention output (P·V)"))?;
 
     Ok(AttentionError {

@@ -6,7 +6,7 @@
 //! prefixes once per request. This module replaces that with a shared
 //! [`KvPagePool`]:
 //!
-//! * **Pages** — fixed-size frames of [`PageEntry`] blocks, one entry per
+//! * **Pages** — fixed-size frames of `PageEntry` blocks, one entry per
 //!   `(layer, kv_head)`, each holding the packed three-stream KV block
 //!   (nibble FP4 codes | E8M0 scales | 2-bit Sg-EM meta) plus its decoded
 //!   working state (the K execution plane inside [`PreparedWeights`], the
@@ -24,7 +24,7 @@
 //! * **Copy-on-write sharing** — page handles are `Arc`s. Appending
 //!   through a handle whose page is shared (a cloned session, or a frozen
 //!   prefix page held by the index) clones the page first
-//!   ([`PageHandle::make_mut`]), extending the Arc-internal CoW rule
+//!   (`PageHandle::make_mut`), extending the Arc-internal CoW rule
 //!   [`PreparedWeights::append_quantized`] already uses to the cache
 //!   itself. A shared page is never mutated in place.
 //! * **Prefix reuse** — after a prefill completes, its full pages can be
@@ -239,7 +239,7 @@ impl Drop for PageBox {
 
 /// Refcounted handle to one page. `Clone` is an `Arc` clone — sessions
 /// sharing a prefix (or a cloned session) hold the same page until one of
-/// them appends, at which point [`PageHandle::make_mut`] clones it.
+/// them appends, at which point `PageHandle::make_mut` clones it.
 #[derive(Debug, Clone)]
 pub struct PageHandle(Arc<PageBox>);
 
@@ -497,7 +497,7 @@ impl KvPagePool {
 
     /// Freezes the full pages of a completed prefill and publishes them
     /// in the prefix index, keyed by the chain hash of the prompt rows
-    /// they cover. The pool retains up to [`RETAIN_CAP`] frozen pages
+    /// they cover. The pool retains up to `RETAIN_CAP` frozen pages
     /// (FIFO) so a prefix outlives the request that produced it. Pages
     /// already frozen (an adopted prefix, a replayed request) are left
     /// as-is; a live index entry is never displaced.
@@ -521,7 +521,7 @@ impl KvPagePool {
                 let _ = page.meta.set(meta);
             }
             let mut g = lock_pool(&self.inner);
-            let slot = g.index.entry(h).or_insert_with(Weak::new);
+            let slot = g.index.entry(h).or_default();
             if slot.upgrade().is_none() {
                 *slot = Arc::downgrade(page);
                 g.retained.push_back(Arc::clone(page));

@@ -22,13 +22,14 @@ pub type LinearError = Error;
 /// ```
 /// use m2x_nn::linear::QuantizedLinear;
 /// use m2x_tensor::Matrix;
+/// use m2xfp::gemm::GemmScratch;
 /// use m2xfp::M2xfpConfig;
 ///
 /// // W: 8 output features, 64 inputs (stored transposed, [out, in]).
 /// let w = Matrix::from_fn(8, 64, |r, c| ((r * 64 + c) as f32 * 0.1).sin());
 /// let layer = QuantizedLinear::from_weights(&w, M2xfpConfig::default())?;
 /// let x = Matrix::from_fn(4, 64, |r, c| ((r + c) as f32 * 0.2).cos());
-/// let y = layer.forward(&x)?;
+/// let y = layer.forward_scratch(&x, &mut GemmScratch::new())?;
 /// assert_eq!((y.rows(), y.cols()), (4, 8));
 /// # Ok::<(), m2xfp::Error>(())
 /// ```
@@ -36,7 +37,7 @@ pub type LinearError = Error;
 pub struct QuantizedLinear {
     /// Weights prepared for the chosen backend: the canonical three-stream
     /// bits plus the backend's decoded execution form (e.g. the GEMM
-    /// kernel's fixed-point plane), so repeated [`Self::forward`] calls
+    /// kernel's fixed-point plane), so repeated [`Self::forward_scratch`] calls
     /// skip the O(N·K) decode.
     prepared: PreparedWeights,
     backend: BackendKind,
@@ -81,17 +82,6 @@ impl QuantizedLinear {
         Ok(QuantizedLinear { prepared, backend })
     }
 
-    fn check_width(&self, x: &Matrix) -> Result<(), Error> {
-        if x.cols() != self.in_features() {
-            return Err(Error::WidthMismatch {
-                tensor: "quantized linear".to_string(),
-                expected: self.in_features(),
-                got: x.cols(),
-            });
-        }
-        Ok(())
-    }
-
     /// The execution backend this layer runs on.
     pub fn backend(&self) -> BackendKind {
         self.backend
@@ -125,20 +115,9 @@ impl QuantizedLinear {
 
     /// W4A4 forward pass through the layer's backend: quantizes `x` online
     /// (Elem-EM-top1) and runs the bit-exact PE GEMM against the prepared
-    /// weights.
-    ///
-    /// # Errors
-    ///
-    /// Fails on an input width mismatch.
-    pub fn forward(&self, x: &Matrix) -> Result<Matrix, Error> {
-        self.backend.backend().forward(x, &self.prepared)
-    }
-
-    /// [`Self::forward`] with a caller-held reusable
-    /// [`GemmScratch`](m2xfp::gemm::GemmScratch) — the decode hot-loop
-    /// entry point: single-row inputs take the packed backend's GEMV fast
-    /// path and the activation scratch is reused across calls instead of
-    /// allocated fresh. Bit-identical to [`Self::forward`].
+    /// weights. The caller-held [`GemmScratch`](m2xfp::gemm::GemmScratch)
+    /// holds the decoded activations and is reused across calls instead of
+    /// allocated fresh; its state never changes the output bits.
     ///
     /// # Errors
     ///
@@ -151,29 +130,6 @@ impl QuantizedLinear {
         self.backend
             .backend()
             .forward_scratch(x, &self.prepared, scratch)
-    }
-
-    /// [`Self::forward`] through the legacy grouped pipeline — bit-identical
-    /// output, kept for cross-checking the representations without
-    /// rebuilding the layer on another backend.
-    ///
-    /// # Errors
-    ///
-    /// Fails on an input width mismatch.
-    pub fn forward_grouped(&self, x: &Matrix) -> Result<Matrix, Error> {
-        let be = BackendKind::Grouped.backend();
-        be.forward(x, &be.prepare(self.prepared.packed().clone()))
-    }
-
-    /// Forward pass keeping activations in f32 (weight-only quantization,
-    /// the W4A16 deployment mode).
-    ///
-    /// # Errors
-    ///
-    /// Fails on an input width mismatch.
-    pub fn forward_w4a16(&self, x: &Matrix) -> Result<Matrix, Error> {
-        self.check_width(x)?;
-        Ok(x.matmul(&self.prepared.packed().dequantize().transpose()))
     }
 
     /// Serializes the weights to the paper's three-stream byte layout.
@@ -199,15 +155,12 @@ mod tests {
     use super::*;
     use m2x_tensor::stats::nmse;
     use m2x_tensor::Xoshiro;
+    use m2xfp::gemm::GemmScratch;
 
-    fn layer(out: usize, inp: usize, seed: u64) -> (QuantizedLinear, Matrix) {
+    fn layer(out: usize, inp: usize, seed: u64) -> QuantizedLinear {
         let mut r = Xoshiro::seed(seed);
         let w = Matrix::from_fn(out, inp, |_, _| r.laplace(0.5));
-        let x = Matrix::from_fn(6, inp, |_, _| r.laplace(1.0));
-        (
-            QuantizedLinear::from_weights(&w, M2xfpConfig::default()).unwrap(),
-            x,
-        )
+        QuantizedLinear::from_weights(&w, M2xfpConfig::default()).unwrap()
     }
 
     #[test]
@@ -217,19 +170,9 @@ mod tests {
         let x = Matrix::from_fn(6, 128, |_, _| r.laplace(1.0));
         let l = QuantizedLinear::from_weights(&w, M2xfpConfig::default()).unwrap();
         let y_ref = x.matmul(&w.transpose());
-        let y = l.forward(&x).unwrap();
+        let y = l.forward_scratch(&x, &mut GemmScratch::new()).unwrap();
         let e = nmse(y_ref.as_slice(), y.as_slice());
         assert!(e > 0.0 && e < 0.05, "nmse {e}");
-    }
-
-    #[test]
-    fn packed_and_grouped_forward_agree_bitwise() {
-        let (l, x) = layer(16, 96, 7);
-        let packed = l.forward(&x).unwrap();
-        let grouped = l.forward_grouped(&x).unwrap();
-        for (a, b) in packed.as_slice().iter().zip(grouped.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]
@@ -238,12 +181,13 @@ mod tests {
         let w = Matrix::from_fn(12, 64, |_, _| r.laplace(0.5));
         let x = Matrix::from_fn(5, 64, |_, _| r.laplace(1.0));
         let cfg = M2xfpConfig::default();
+        let mut scratch = GemmScratch::new();
         let outs: Vec<Matrix> = BackendKind::ALL
             .iter()
             .map(|&k| {
                 let l = QuantizedLinear::with_backend(&w, cfg, k).unwrap();
                 assert_eq!(l.backend(), k);
-                l.forward(&x).unwrap()
+                l.forward_scratch(&x, &mut scratch).unwrap()
             })
             .collect();
         for o in &outs[1..] {
@@ -254,21 +198,10 @@ mod tests {
     }
 
     #[test]
-    fn w4a16_beats_w4a4() {
-        let (l, x) = layer(16, 128, 2);
-        let w_deq = l.weights().dequantize();
-        let y_ref = x.matmul(&w_deq.transpose());
-        // W4A16 equals the dequantized product exactly.
-        let y16 = l.forward_w4a16(&x).unwrap();
-        assert_eq!(y16, y_ref);
-    }
-
-    #[test]
     fn shape_errors_reported() {
-        let (l, _) = layer(8, 64, 3);
+        let l = layer(8, 64, 3);
         let bad = Matrix::zeros(2, 65);
-        assert!(l.forward(&bad).is_err());
-        assert!(l.forward_w4a16(&bad).is_err());
+        assert!(l.forward_scratch(&bad, &mut GemmScratch::new()).is_err());
         let w_bad = Matrix::zeros(8, 65);
         let err = QuantizedLinear::from_weights(&w_bad, M2xfpConfig::default()).unwrap_err();
         assert!(err.to_string().contains("linear weights"), "{err}");
@@ -276,7 +209,7 @@ mod tests {
 
     #[test]
     fn weight_footprint_is_4_5_bits() {
-        let (l, _) = layer(8, 64, 4);
+        let l = layer(8, 64, 4);
         let bits = l.weight_bytes() as f64 * 8.0 / (8.0 * 64.0);
         assert!((bits - 4.5).abs() < 1e-12);
         assert_eq!(l.pack_weights().unwrap().len(), l.weight_bytes());
@@ -284,7 +217,7 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let (l, _) = layer(8, 64, 5);
+        let l = layer(8, 64, 5);
         assert_eq!(l.out_features(), 8);
         assert_eq!(l.in_features(), 64);
         assert_eq!(l.backend(), BackendKind::Packed);

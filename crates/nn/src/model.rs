@@ -28,7 +28,7 @@
 //!   each output element in the same order), which the workspace property
 //!   tests pin.
 //!
-//! [`ModelWeights::step_sessions`] is the multi-session surface the
+//! [`ModelWeights::step_sessions_scratch`] is the multi-session surface the
 //! `m2x-serve` continuous-batching scheduler drives: one batched step over
 //! many independent sessions, their token rows stacked into single
 //! projection GEMMs (each output row depends only on its own input row, so
@@ -706,31 +706,15 @@ impl ModelWeights {
     /// **bit-identical to running it solo** — for any batch composition and
     /// any thread count — which `tests/proptest_serve.rs` pins.
     ///
+    /// The caller-held [`StepScratch`] is reused across steps: the serving
+    /// engine holds one and threads it through every projection GEMM and
+    /// the attention score GEMVs (per-worker sub-scratches on the threaded
+    /// path), so the decode hot loop stops allocating activation planes
+    /// per call. The output bits never depend on the scratch state.
+    ///
     /// # Errors
     ///
     /// Fails on a session/input count mismatch or an input width mismatch.
-    // m2x-lint: hot
-    pub fn step_sessions(
-        &self,
-        sessions: &mut [&mut SessionState],
-        inputs: &[Matrix],
-        threads: usize,
-    ) -> Result<Vec<Matrix>, Error> {
-        // m2x-lint: allow(alloc) per-step default scratch: the serving engine uses the _scratch variant
-
-        self.step_multi(sessions, inputs, threads, None, &mut StepScratch::default())
-    }
-
-    /// [`Self::step_sessions`] with a caller-held reusable [`StepScratch`]:
-    /// the serving engine holds one scratch across scheduler steps and
-    /// threads it through every projection GEMM and the attention score
-    /// GEMVs (per-worker sub-scratches on the threaded path), so the
-    /// decode hot loop stops allocating activation planes per call.
-    /// Bit-identical to [`Self::step_sessions`] for any scratch state.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::step_sessions`].
     // m2x-lint: hot
     pub fn step_sessions_scratch(
         &self,
@@ -804,8 +788,9 @@ impl ModelWeights {
         // on the decode hot loop: in auto mode (`threads == 0`) one worker
         // is granted per [`ATTN_MACS_PER_WORKER`] attention MACs, capped at
         // the available cores (mirrors `gemm_threads`' policy). An explicit
-        // count is pinned exactly, like `qgemm_packed_threaded`. Any worker
-        // count computes identical bits.
+        // count is pinned exactly, like the `threads` argument of
+        // `qgemm_packed_planed_scratch`. Any worker count computes
+        // identical bits.
         let attn_workers = if threads == 0 {
             let attn_macs: usize = counts
                 .iter()
@@ -1364,6 +1349,16 @@ mod tests {
         ModelBuilder::scaled(&ModelProfile::llama3_8b(), 64, 2).keep_reference(true)
     }
 
+    /// One multi-session step through a fresh scratch.
+    fn step(
+        weights: &ModelWeights,
+        sessions: &mut [&mut SessionState],
+        inputs: &[Matrix],
+        threads: usize,
+    ) -> Result<Vec<Matrix>, Error> {
+        weights.step_sessions_scratch(sessions, inputs, threads, &mut StepScratch::new())
+    }
+
     fn tokens(n: usize, hidden: usize) -> Matrix {
         let x = activation_matrix(&ModelProfile::llama3_8b(), 0, n, hidden);
         // Embeddings, not raw activations: tame the outlier channels so the
@@ -1399,9 +1394,7 @@ mod tests {
         let mut refs: Vec<&mut SessionState> = sessions.iter_mut().collect();
         assert_eq!(refs[0].kv_bytes(), 0);
         let x = tokens(4, 64);
-        weights
-            .step_sessions(&mut refs, std::slice::from_ref(&x), 1)
-            .unwrap();
+        step(&weights, &mut refs, std::slice::from_ref(&x), 1).unwrap();
         let after_prefill = refs[0].kv_bytes();
         assert!(after_prefill > 0);
         assert_eq!(after_prefill, refs[0].kv().packed_bytes());
@@ -1409,9 +1402,7 @@ mod tests {
             refs[0].kv_decoded_bytes() > 0,
             "decoded working state must be reported alongside the packed bytes"
         );
-        weights
-            .step_sessions(&mut refs, &[tokens(1, 64)], 1)
-            .unwrap();
+        step(&weights, &mut refs, &[tokens(1, 64)], 1).unwrap();
         assert!(refs[0].kv_bytes() > after_prefill);
     }
 
@@ -1492,9 +1483,13 @@ mod tests {
         for threads in [1usize, 3] {
             sa.reset();
             sb.reset();
-            let outs = weights
-                .step_sessions(&mut [&mut sa, &mut sb], &[xa.clone(), xb.clone()], threads)
-                .unwrap();
+            let outs = step(
+                &weights,
+                &mut [&mut sa, &mut sb],
+                &[xa.clone(), xb.clone()],
+                threads,
+            )
+            .unwrap();
             for (want, got) in [(&ya, &outs[0]), (&yb, &outs[1])] {
                 for (a, b) in want.as_slice().iter().zip(got.as_slice()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
@@ -1513,12 +1508,8 @@ mod tests {
         let x = tokens(3, 64);
         let tok = tokens(1, 64);
         let mut fresh = weights.new_session();
-        let a0 = weights
-            .step_sessions(&mut [&mut fresh], std::slice::from_ref(&x), 1)
-            .unwrap();
-        let a1 = weights
-            .step_sessions(&mut [&mut fresh], std::slice::from_ref(&tok), 1)
-            .unwrap();
+        let a0 = step(&weights, &mut [&mut fresh], std::slice::from_ref(&x), 1).unwrap();
+        let a1 = step(&weights, &mut [&mut fresh], std::slice::from_ref(&tok), 1).unwrap();
         let mut reused = weights.new_session();
         let mut scratch = StepScratch::new();
         let b0 = weights
@@ -1543,9 +1534,7 @@ mod tests {
         let weights = Arc::new(tiny_builder().build_weights().unwrap());
         let x = tokens(40, 64);
         let mut solo = weights.new_session();
-        let full = weights
-            .step_sessions(&mut [&mut solo], std::slice::from_ref(&x), 1)
-            .unwrap();
+        let full = step(&weights, &mut [&mut solo], std::slice::from_ref(&x), 1).unwrap();
         weights.kv_pool().register_prefix(&x, &full[0], solo.kv());
 
         let m = weights.kv_pool().lookup_prefix(&x).expect("prefix hit");
@@ -1554,9 +1543,7 @@ mod tests {
         let head = adopted.adopt_prefix(m);
         assert_eq!(adopted.pos(), 32);
         let suffix = slice_rows(&x, 32, 8);
-        let tail = weights
-            .step_sessions(&mut [&mut adopted], &[suffix], 1)
-            .unwrap();
+        let tail = step(&weights, &mut [&mut adopted], &[suffix], 1).unwrap();
         let mut stitched = head;
         stitched.push_rows(&tail[0]);
         for (a, b) in full[0].as_slice().iter().zip(stitched.as_slice()) {
@@ -1565,12 +1552,8 @@ mod tests {
 
         // The adopted KV state must continue decoding identically too.
         let tok = tokens(1, 64);
-        let d_solo = weights
-            .step_sessions(&mut [&mut solo], std::slice::from_ref(&tok), 1)
-            .unwrap();
-        let d_adopt = weights
-            .step_sessions(&mut [&mut adopted], std::slice::from_ref(&tok), 1)
-            .unwrap();
+        let d_solo = step(&weights, &mut [&mut solo], std::slice::from_ref(&tok), 1).unwrap();
+        let d_adopt = step(&weights, &mut [&mut adopted], std::slice::from_ref(&tok), 1).unwrap();
         for (a, b) in d_solo[0].as_slice().iter().zip(d_adopt[0].as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits(), "adopted decode diverged");
         }
@@ -1582,9 +1565,9 @@ mod tests {
     fn step_sessions_validates_inputs() {
         let weights = Arc::new(tiny_builder().build_weights().unwrap());
         let mut s = weights.new_session();
-        assert!(weights.step_sessions(&mut [&mut s], &[], 1).is_err());
+        assert!(step(&weights, &mut [&mut s], &[], 1).is_err());
         let bad = Matrix::zeros(2, 65);
-        assert!(weights.step_sessions(&mut [&mut s], &[bad], 1).is_err());
+        assert!(step(&weights, &mut [&mut s], &[bad], 1).is_err());
     }
 
     #[test]

@@ -14,6 +14,7 @@ use m2x_tensor::stats::nmse;
 use m2x_tensor::Matrix;
 use m2xfp::backend::ExecBackend;
 use m2xfp::format::PackedWeightTensor;
+use m2xfp::gemm::GemmScratch;
 use m2xfp::{M2xfpConfig, TensorQuantizer};
 
 /// Evaluation size caps (full model dimensions are sub-sampled; block
@@ -98,11 +99,11 @@ pub fn evaluate(
 }
 
 /// Evaluates the M2XFP format through an execution backend: every quantized
-/// GEMM runs the backend's actual engine (`ExecBackend::forward` — online
-/// activation encode + integer PE kernel against prepared weights) instead
-/// of the fake-quantize-then-f32-matmul route of [`evaluate`]. This is the
-/// measurement the engine really ships; all backends report bit-identical
-/// numbers.
+/// GEMM runs the backend's actual engine (`ExecBackend::forward_scratch` —
+/// online activation encode + integer PE kernel against prepared weights)
+/// instead of the fake-quantize-then-f32-matmul route of [`evaluate`]. This
+/// is the measurement the engine really ships; all backends report
+/// bit-identical numbers.
 pub fn evaluate_backend(
     profile: &ModelProfile,
     backend: &dyn ExecBackend,
@@ -119,7 +120,7 @@ pub fn evaluate_backend(
         |x, w_t, _layer| {
             let prepared = backend.prepare(PackedWeightTensor::quantize_parallel(w_t, qcfg));
             backend
-                .forward(x, &prepared)
+                .forward_scratch(x, &prepared, &mut GemmScratch::new())
                 // m2x-lint: allow(panic) synthesized shapes are group-aligned by construction; the infallible closure signature is fixed by the harness
                 .expect("aligned dims by construction")
         },

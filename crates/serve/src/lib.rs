@@ -15,7 +15,8 @@
 //!   loop: requests are admitted from the arrival queue up to
 //!   [`ServeConfig::max_batch`], every scheduler step stacks all active
 //!   requests' pending rows (prefill chunks and decode tokens mix freely)
-//!   into one batched [`step_sessions`](m2x_nn::model::ModelWeights::step_sessions)
+//!   into one batched
+//!   [`step_sessions_scratch`](m2x_nn::model::ModelWeights::step_sessions_scratch)
 //!   call, and requests join and leave between steps without disturbing
 //!   the others.
 //!

@@ -11,7 +11,7 @@
 //!                 │ deadline                                │ every tick:
 //!                 ▼                          cancel/deadline│  faults? →
 //!            DeadlineExceeded   Cancelled ◄────(released    │  stack rows →
-//!                                               between     │  step_sessions
+//!                                               between     │  step_sessions_scratch
 //!                                               steps)      │  (catch_unwind)
 //!                                                           │      │ panic?
 //!                                              Failed ◄── isolate ◄┘

@@ -24,7 +24,9 @@
 //! test threads would bleed their allocations into the counted regions.
 
 use m2xfp_repro::core::format::{PackedActTensor, PackedWeightTensor};
-use m2xfp_repro::core::gemm::{qgemv_packed, qgemv_packed_into, GemmScratch, WeightPlane};
+use m2xfp_repro::core::gemm::{
+    qgemm_packed_planed_scratch, qgemv_packed_into, GemmScratch, WeightPlane,
+};
 use m2xfp_repro::core::M2xfpConfig;
 use m2xfp_repro::nn::model::{ModelBuilder, ModelWeights};
 use m2xfp_repro::nn::profile::ModelProfile;
@@ -103,7 +105,7 @@ fn telemetry_recording_zero_allocations() {
 
 /// After one warm-up call, `qgemv_packed_into` is allocation-free for any
 /// number of decode steps at that shape — and bit-identical to the
-/// allocating `qgemv_packed` surface.
+/// production `qgemm_packed_planed_scratch` entry at one row.
 fn gemv_zero_allocations_after_warmup() {
     let (acts, plane) = gemv_inputs();
     let mut scratch = GemmScratch::new();
@@ -127,7 +129,7 @@ fn gemv_zero_allocations_after_warmup() {
     // The zero-alloc surface computes the same bits as the Matrix one.
     for x in &acts {
         qgemv_packed_into(x, &plane, &mut scratch, &mut out);
-        let want = qgemv_packed(x, &plane, &mut scratch);
+        let want = qgemm_packed_planed_scratch(x, &plane, 1, &mut scratch);
         for (got, want) in out.iter().zip(want.as_slice()) {
             assert_eq!(got.to_bits(), want.to_bits());
         }

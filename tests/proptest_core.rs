@@ -5,8 +5,8 @@
 use m2xfp_repro::core::activation::{dequantize_group, fake_quantize_group, quantize_group};
 use m2xfp_repro::core::format::{ActTensor, PackedActTensor, PackedWeightTensor, WeightTensor};
 use m2xfp_repro::core::gemm::{
-    qgemm, qgemm_packed_inreg, qgemm_packed_planed_scratch, qgemm_packed_threaded, qgemm_reference,
-    qgemv_packed, GemmScratch, WeightPlane,
+    qgemm, qgemm_packed_planed_scratch, qgemm_reference, qgemv_packed_into, GemmScratch,
+    WeightPlane,
 };
 use m2xfp_repro::core::strategy::{MetadataStrategy, ScaleMode};
 use m2xfp_repro::core::weight;
@@ -184,54 +184,66 @@ fn packed_streams_equal_grouped_representation() {
     });
 }
 
-/// The packed cache-blocked qGEMM equals the f64 reference bit for bit —
-/// for any thread count, including ragged trailing groups.
+/// The packed register-blocked qGEMM equals the f64 reference bit for bit
+/// for every row count the kernel's `MR` row blocking distinguishes
+/// (m = 0 to 4 each case, zero output columns included), any thread count
+/// 1–4, ragged trailing groups, both metadata granularities and every
+/// `ScaleRule` (cycled by case). One plane serves all row counts and one
+/// scratch is reused across every call, the serving pattern.
 #[test]
 fn packed_qgemm_bit_exact() {
+    let mut scratch = GemmScratch::new();
     cases(48, |g| {
-        let cfg = M2xfpConfig::default();
-        let m = 1 + g.below(4);
-        let n = 1 + g.below(5);
+        let cfg = M2xfpConfig {
+            subgroup_size: [8usize, 16][g.below(2)],
+            scale_rule: ScaleRule::ALL[g.case % ScaleRule::ALL.len()],
+            ..M2xfpConfig::default()
+        };
+        let n = g.below(9); // frequently not a multiple of the register block
         let k = 1 + g.below(100); // frequently ragged
-        let xm = Matrix::from_vec(m, k, g.vec_f32(m * k, -16.0, 16.0));
         let wm = Matrix::from_vec(n, k, g.vec_f32(n * k, -4.0, 4.0));
-        let want = qgemm_reference(
-            &ActTensor::quantize(&xm, cfg),
-            &WeightTensor::quantize(&wm, cfg),
-        );
-        let xp = PackedActTensor::quantize(&xm, cfg);
-        let wp = PackedWeightTensor::quantize(&wm, cfg);
-        let threads = 1 + g.below(4);
-        let got = qgemm_packed_threaded(&xp, &wp, threads);
-        for i in 0..m {
-            for j in 0..n {
-                assert_eq!(
-                    got[(i, j)].to_bits(),
-                    want[(i, j)].to_bits(),
-                    "case {} ({i},{j}) m={m} n={n} k={k} threads={threads}",
-                    g.case
-                );
+        let wt = WeightTensor::quantize(&wm, cfg);
+        let plane = WeightPlane::decode(&PackedWeightTensor::quantize(&wm, cfg));
+        for m in 0..=4 {
+            let xm = Matrix::from_vec(m, k, g.vec_f32(m * k, -16.0, 16.0));
+            let want = qgemm_reference(&ActTensor::quantize(&xm, cfg), &wt);
+            let xp = PackedActTensor::quantize(&xm, cfg);
+            let threads = 1 + g.below(4);
+            let got = qgemm_packed_planed_scratch(&xp, &plane, threads, &mut scratch);
+            assert_eq!((got.rows(), got.cols()), (m, n), "case {}", g.case);
+            for i in 0..m {
+                for j in 0..n {
+                    assert_eq!(
+                        got[(i, j)].to_bits(),
+                        want[(i, j)].to_bits(),
+                        "case {} ({i},{j}) m={m} n={n} k={k} threads={threads} sg={} rule={:?}",
+                        g.case,
+                        cfg.subgroup_size,
+                        cfg.scale_rule
+                    );
+                }
             }
         }
     });
 }
 
-/// The decode micro-kernels — the `m == 1` GEMV fast path over a cached
-/// `WeightPlane` (with its scratch reused across cases, the serving
-/// pattern) and the in-register nibble-decode kernel over the raw packed
-/// streams — are bit-identical to the f64 reference: ragged trailing
-/// groups, both metadata granularities (subgroup 8 and 16), every
-/// `ScaleRule`, any thread count, and NR-unaligned output widths.
+/// The decode shape — one activation row against a cached `WeightPlane` —
+/// through the zero-alloc GEMV (scratch and output row reused across
+/// cases, the serving pattern) and through the planed entry at any thread
+/// count is bit-identical to the f64 reference: ragged trailing groups,
+/// both metadata granularities (subgroup 8 and 16), every `ScaleRule` and
+/// NR-unaligned output widths, zero included.
 #[test]
 fn decode_kernels_bit_exact() {
     let mut scratch = GemmScratch::new();
+    let mut gemv = Vec::new();
     cases(64, |g| {
         let cfg = M2xfpConfig {
             subgroup_size: [8usize, 16][g.below(2)],
             scale_rule: ScaleRule::ALL[g.below(5)],
             ..M2xfpConfig::default()
         };
-        let n = 1 + g.below(14); // frequently not a multiple of the register block
+        let n = g.below(14); // frequently not a multiple of the register block
         let k = 1 + g.below(100); // frequently ragged
         let xm = Matrix::from_vec(1, k, g.vec_f32(k, -16.0, 16.0));
         let wm = Matrix::from_vec(n, k, g.vec_f32(n * k, -4.0, 4.0));
@@ -240,16 +252,15 @@ fn decode_kernels_bit_exact() {
             &WeightTensor::quantize(&wm, cfg),
         );
         let xp = PackedActTensor::quantize(&xm, cfg);
-        let wp = PackedWeightTensor::quantize(&wm, cfg);
-        let plane = WeightPlane::decode(&wp);
-        let gemv = qgemv_packed(&xp, &plane, &mut scratch);
+        let plane = WeightPlane::decode(&PackedWeightTensor::quantize(&wm, cfg));
+        gemv.resize(n, f32::NAN);
+        qgemv_packed_into(&xp, &plane, &mut scratch, &mut gemv);
         let threads = 1 + g.below(4);
-        let inreg = qgemm_packed_inreg(&xp, &wp, threads);
         let planed = qgemm_packed_planed_scratch(&xp, &plane, threads, &mut scratch);
         for j in 0..n {
             let w = want[(0, j)].to_bits();
             assert_eq!(
-                gemv[(0, j)].to_bits(),
+                gemv[j].to_bits(),
                 w,
                 "case {} gemv j={j} n={n} k={k} sg={} rule={:?}",
                 g.case,
@@ -257,48 +268,11 @@ fn decode_kernels_bit_exact() {
                 cfg.scale_rule
             );
             assert_eq!(
-                inreg[(0, j)].to_bits(),
+                planed[(0, j)].to_bits(),
                 w,
-                "case {} inreg j={j} n={n} k={k} threads={threads}",
+                "case {} planed j={j} threads={threads}",
                 g.case
             );
-            assert_eq!(planed[(0, j)].to_bits(), w, "case {} planed j={j}", g.case);
-        }
-    });
-}
-
-/// The in-register kernel also matches on multi-row batches (the one-shot
-/// `qgemm_packed` route), for any thread count.
-#[test]
-fn inreg_kernel_bit_exact_on_batches() {
-    cases(32, |g| {
-        let cfg = M2xfpConfig {
-            subgroup_size: [8usize, 16][g.below(2)],
-            ..M2xfpConfig::default()
-        };
-        let m = 1 + g.below(4);
-        let n = 1 + g.below(6);
-        let k = 1 + g.below(90);
-        let xm = Matrix::from_vec(m, k, g.vec_f32(m * k, -16.0, 16.0));
-        let wm = Matrix::from_vec(n, k, g.vec_f32(n * k, -4.0, 4.0));
-        let want = qgemm_reference(
-            &ActTensor::quantize(&xm, cfg),
-            &WeightTensor::quantize(&wm, cfg),
-        );
-        let got = qgemm_packed_inreg(
-            &PackedActTensor::quantize(&xm, cfg),
-            &PackedWeightTensor::quantize(&wm, cfg),
-            1 + g.below(4),
-        );
-        for i in 0..m {
-            for j in 0..n {
-                assert_eq!(
-                    got[(i, j)].to_bits(),
-                    want[(i, j)].to_bits(),
-                    "case {} ({i},{j}) m={m} n={n} k={k}",
-                    g.case
-                );
-            }
         }
     });
 }

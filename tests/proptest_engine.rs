@@ -6,6 +6,7 @@
 use m2xfp_repro::core::activation::{quantize_group_into, quantize_group_into_reference};
 use m2xfp_repro::core::backend::BackendKind;
 use m2xfp_repro::core::format::PackedWeightTensor;
+use m2xfp_repro::core::gemm::GemmScratch;
 use m2xfp_repro::core::{M2xfpConfig, ScaleRule};
 use m2xfp_repro::nn::linear::QuantizedLinear;
 use m2xfp_repro::nn::model::ModelBuilder;
@@ -25,6 +26,7 @@ fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
 /// granularities (4 and 2 subgroups per group) and fixed/adaptive scales.
 #[test]
 fn backends_bit_identical_on_linear_forwards() {
+    let mut scratch = GemmScratch::new();
     cases(24, |g| {
         let cfg = M2xfpConfig {
             subgroup_size: if g.below(2) == 0 { 8 } else { 16 },
@@ -47,11 +49,14 @@ fn backends_bit_identical_on_linear_forwards() {
         let packed = PackedWeightTensor::quantize_parallel(&w, cfg);
         let base = {
             let be = BackendKind::Packed.backend();
-            be.forward(&x, &be.prepare(packed.clone())).unwrap()
+            be.forward_scratch(&x, &be.prepare(packed.clone()), &mut scratch)
+                .unwrap()
         };
         for kind in [BackendKind::Grouped, BackendKind::Reference] {
             let be = kind.backend();
-            let y = be.forward(&x, &be.prepare(packed.clone())).unwrap();
+            let y = be
+                .forward_scratch(&x, &be.prepare(packed.clone()), &mut scratch)
+                .unwrap();
             assert_bits_eq(&base, &y, &format!("case {} {:?}", g.case, kind));
         }
     });
