@@ -267,7 +267,7 @@ impl WeightTensor {
     }
 
     /// Appends another tensor's groups below the existing rows (used by the
-    /// execution backends to grow a prepared grouped form in O(new rows)).
+    /// `PreparedWeights` to grow its grouped form in O(new rows)).
     /// Groups quantize independently, so the result equals quantizing the
     /// row-concatenated matrix.
     pub(crate) fn append_tensor(&mut self, other: WeightTensor) {

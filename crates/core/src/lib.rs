@@ -22,10 +22,10 @@
 //!   exploration.
 //! * [`quantizer`] — the [`TensorQuantizer`] trait shared with every
 //!   baseline format.
-//! * [`backend`] — the [`ExecBackend`] execution
-//!   abstraction: packed / grouped / float-oracle engines with
-//!   bit-identical outputs, the layer every inference surface
-//!   (`m2x_nn::linear`, `m2x_nn::model`) routes through.
+//! * [`backend`] — [`PreparedWeights`](backend::PreparedWeights): weights
+//!   decoded once into a packed or grouped execution form that runs its
+//!   own kernel, bit-identical to the f64 oracle; the layer every inference
+//!   surface (`m2x_nn::linear`, `m2x_nn::model`) routes through.
 //! * [`error`] — the unified [`enum@Error`] type of the engine API.
 //!
 //! ```
@@ -52,25 +52,24 @@ pub mod scale;
 pub mod strategy;
 pub mod weight;
 
-pub use backend::{BackendKind, ExecBackend};
+pub use backend::BackendKind;
 pub use error::Error;
 pub use group::GroupConfig;
 pub use quantizer::TensorQuantizer;
 pub use scale::ScaleRule;
 
-/// One-stop imports for the engine API: configuration, backends, packed
-/// tensors, the quantizer trait and the unified error type.
+/// One-stop imports for the engine API: configuration, execution forms,
+/// packed tensors, the quantizer trait and the unified error type.
 ///
 /// ```
 /// use m2xfp::prelude::*;
 ///
 /// let cfg = M2xfpConfig::default();
-/// let be = BackendKind::Packed.backend();
-/// assert_eq!(be.name(), "packed");
+/// assert_eq!(BackendKind::Packed.name(), "packed");
 /// assert_eq!(cfg.group_size, 32);
 /// ```
 pub mod prelude {
-    pub use crate::backend::{BackendKind, ExecBackend, PreparedWeights};
+    pub use crate::backend::{BackendKind, PreparedWeights};
     pub use crate::error::Error;
     pub use crate::format::{ActTensor, PackedActTensor, PackedWeightTensor, WeightTensor};
     pub use crate::gemm::{GemmScratch, WeightPlane};

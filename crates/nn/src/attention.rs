@@ -14,7 +14,7 @@
 
 use crate::profile::ModelProfile;
 use m2x_tensor::{stats, Matrix, Xoshiro};
-use m2xfp::backend::ExecBackend;
+use m2xfp::backend::BackendKind;
 use m2xfp::format::PackedWeightTensor;
 use m2xfp::gemm::GemmScratch;
 use m2xfp::{Error, M2xfpConfig, TensorQuantizer};
@@ -89,11 +89,11 @@ pub fn evaluate_attention(
     }
 }
 
-/// Runs one attention head through an execution backend — the engine-true
+/// Runs one attention head through an execution form — the engine-true
 /// variant of [`evaluate_attention`]: the score GEMM `Q·Kᵀ` and the value
-/// GEMM `P·V` both execute the backend's quantized kernel against Sg-EM
+/// GEMM `P·V` both execute the form's quantized kernel against Sg-EM
 /// prepared K/Vᵀ (the lazily quantized cache operands), with Q and P
-/// quantized online inside the forward. All backends report bit-identical
+/// quantized online inside the forward. Both forms report bit-identical
 /// errors.
 ///
 /// This measures the full-sequence offline setting, where Vᵀ may be
@@ -111,7 +111,7 @@ pub fn evaluate_attention_backend(
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
-    backend: &dyn ExecBackend,
+    backend: BackendKind,
     cfg: M2xfpConfig,
 ) -> Result<AttentionError, Error> {
     let scale = 1.0 / (q.cols() as f32).sqrt();
@@ -126,13 +126,13 @@ pub fn evaluate_attention_backend(
     let pk = backend.prepare(PackedWeightTensor::quantize_parallel(k, cfg));
     let pv = backend.prepare(PackedWeightTensor::quantize_parallel(&v.transpose(), cfg));
     let mut scratch = GemmScratch::new();
-    let scores_q = backend
-        .forward_scratch(q, &pk, &mut scratch)
+    let scores_q = pk
+        .forward_scratch(q, &mut scratch)
         .map_err(|e| e.for_tensor("attention scores (Q·Kᵀ)"))?
         .map(|x| x * scale);
     let p_q = softmax_rows(&scores_q);
-    let out_q = backend
-        .forward_scratch(&p_q, &pv, &mut scratch)
+    let out_q = pv
+        .forward_scratch(&p_q, &mut scratch)
         .map_err(|e| e.for_tensor("attention output (P·V)"))?;
 
     Ok(AttentionError {
@@ -210,13 +210,12 @@ mod tests {
 
     #[test]
     fn backend_routed_attention_identical_across_backends() {
-        use m2xfp::backend::BackendKind;
         let p = ModelProfile::llama3_8b();
         let (q, k, v) = synth_head(&p, 40, 64);
         let cfg = M2xfpConfig::default();
         let errs: Vec<AttentionError> = BackendKind::ALL
             .iter()
-            .map(|b| evaluate_attention_backend(&q, &k, &v, b.backend(), cfg).unwrap())
+            .map(|&b| evaluate_attention_backend(&q, &k, &v, b, cfg).unwrap())
             .collect();
         assert!(errs[0].output_nmse > 0.0 && errs[0].output_nmse.is_finite());
         for e in &errs[1..] {

@@ -150,7 +150,7 @@ pub struct PoolGeometry {
     pub page_tokens: usize,
     /// Quantization configuration of the packed streams.
     pub cfg: M2xfpConfig,
-    /// Execution backend the K blocks are prepared for.
+    /// Execution form the K blocks are prepared into.
     pub backend: BackendKind,
 }
 
@@ -172,8 +172,8 @@ impl PoolGeometry {
     }
 }
 
-/// One `(layer, kv_head)` KV block of a page: K rows prepared for the
-/// execution backend (packed streams + decoded score-GEMM operand, grown
+/// One `(layer, kv_head)` KV block of a page: K rows prepared into the
+/// execution form (packed streams + decoded score-GEMM operand, grown
 /// decode-on-append) and V rows quantized per token with their
 /// dequantized form cached. `Clone` is cheap on K (`PreparedWeights` is
 /// Arc-internal CoW) and deep on the V state.
@@ -404,10 +404,10 @@ impl KvPagePool {
     /// Builds a brand-new empty frame (the acquire cold path).
     fn fresh_frame(&self) -> Vec<PageEntry> {
         let g = &self.geom;
-        let be = g.backend.backend();
         (0..g.layers * g.kv_heads)
             .map(|_| PageEntry {
-                k: be.prepare(PackedWeightTensor::empty(g.head_dim, g.cfg)),
+                k: g.backend
+                    .prepare(PackedWeightTensor::empty(g.head_dim, g.cfg)),
                 v: PackedWeightTensor::empty(g.head_dim, g.cfg),
                 v_rows: Matrix::zeros(0, g.head_dim),
             })
@@ -498,9 +498,11 @@ impl KvPagePool {
     /// Freezes the full pages of a completed prefill and publishes them
     /// in the prefix index, keyed by the chain hash of the prompt rows
     /// they cover. The pool retains up to `RETAIN_CAP` frozen pages
-    /// (FIFO) so a prefix outlives the request that produced it. Pages
-    /// already frozen (an adopted prefix, a replayed request) are left
-    /// as-is; a live index entry is never displaced.
+    /// (FIFO) so a prefix outlives the request that produced it; an
+    /// evicted page leaves the index with it, so the index never outgrows
+    /// the retained set. Pages already frozen (an adopted prefix, a
+    /// replayed request) are left as-is; a live index entry is never
+    /// displaced.
     pub fn register_prefix(&self, prompt: &Matrix, prefill_out: &Matrix, kv: &PagedKv) {
         let pt = self.geom.page_tokens;
         let full = (prompt.rows() / pt)
@@ -527,6 +529,14 @@ impl KvPagePool {
                 g.retained.push_back(Arc::clone(page));
                 while g.retained.len() > RETAIN_CAP {
                     if let Some(old) = g.retained.pop_front() {
+                        // Prune the evicted page's own index entry so the
+                        // index stays bounded by the retained set.
+                        if let Some(m) = old.meta.get() {
+                            let own = Arc::downgrade(&old);
+                            if g.index.get(&m.chain_hash).is_some_and(|w| w.ptr_eq(&own)) {
+                                g.index.remove(&m.chain_hash);
+                            }
+                        }
                         evicted.push(old);
                     }
                 }
@@ -671,7 +681,6 @@ impl PagedKv {
                 got: k_new.cols().max(v_new.cols()),
             });
         }
-        let be = geom.backend.backend();
         let pt = geom.page_tokens;
         let tokens = k_new.rows();
         let mut done = 0;
@@ -687,7 +696,7 @@ impl PagedKv {
             for h in 0..geom.kv_heads {
                 let e = &mut page.entries[li * geom.kv_heads + h];
                 let ks = slice_block(k_new, done, take, h * geom.head_dim, geom.head_dim);
-                be.append_rows(&mut e.k, &ks)?;
+                e.k.append_rows(&ks)?;
                 let vs = slice_block(v_new, done, take, h * geom.head_dim, geom.head_dim);
                 let vq = PackedWeightTensor::quantize_parallel(&vs, geom.cfg);
                 e.v_rows.push_rows(&vq.dequantize());
@@ -887,6 +896,35 @@ mod tests {
         assert_eq!(s.prefix_misses, 1);
         assert_eq!(s.retained_pages, 1);
         assert!(s.shared_pages >= 1);
+    }
+
+    #[test]
+    fn index_stays_bounded_under_distinct_prefix_churn() {
+        // The index must not outgrow the retained set however many
+        // distinct prefixes pass through: eviction prunes the evicted
+        // page's own entry.
+        let pool = KvPagePool::new(geom()).unwrap();
+        let pt = pool.page_tokens();
+        let mut base = PagedKv::new(Arc::clone(&pool));
+        append_all(&mut base, &rows(pt, 64, 0.0), &rows(pt, 64, 1.0));
+        let out = rows(pt, 16, 4.0);
+        for i in 0..10_000usize {
+            // A fresh, unfrozen copy of the one page (the CoW path).
+            let mut kv = PagedKv::new(Arc::clone(&pool));
+            kv.pages.push(base.pages[0].clone());
+            kv.pages[0].make_mut(&pool);
+            let prompt = Matrix::from_fn(pt, 16, |r, c| (i * 512 + r * 16 + c) as f32);
+            pool.register_prefix(&prompt, &out, &kv);
+        }
+        {
+            let g = lock_pool(&pool.inner);
+            assert!(g.index.len() <= RETAIN_CAP, "index {}", g.index.len());
+            assert_eq!(g.retained.len(), RETAIN_CAP);
+        }
+        assert!(pool.verify_frozen());
+        pool.clear_retained();
+        drop(base);
+        assert_eq!(pool.stats().pages_in_use, 0);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! A ready-to-use quantized linear layer — the API a downstream user would
 //! deploy: weights held in the packed M2XFP representation, prepared once
-//! into the execution backend's form, and every forward pass routed through
-//! the [`ExecBackend`](m2xfp::backend::ExecBackend) abstraction.
+//! into an execution form ([`PreparedWeights`]) that runs its own kernel on
+//! every forward pass.
 //!
-//! The default backend is [`BackendKind::Packed`] (the LUT/cache-blocked
-//! hot path); [`QuantizedLinear::with_backend`] swaps in the grouped or
-//! float-oracle engines, whose outputs are bit-identical.
+//! The default form is [`BackendKind::Packed`] (the LUT/cache-blocked hot
+//! path); [`QuantizedLinear::with_backend`] swaps in the grouped PE model,
+//! whose outputs are bit-identical.
 
 use m2x_tensor::Matrix;
 use m2xfp::backend::{BackendKind, PreparedWeights};
@@ -35,12 +35,11 @@ pub type LinearError = Error;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedLinear {
-    /// Weights prepared for the chosen backend: the canonical three-stream
-    /// bits plus the backend's decoded execution form (e.g. the GEMM
-    /// kernel's fixed-point plane), so repeated [`Self::forward_scratch`] calls
-    /// skip the O(N·K) decode.
+    /// Weights prepared for the chosen form: the canonical three-stream
+    /// bits plus the decoded execution form (e.g. the GEMM kernel's
+    /// fixed-point plane), so repeated [`Self::forward_scratch`] calls skip
+    /// the O(N·K) decode.
     prepared: PreparedWeights,
-    backend: BackendKind,
 }
 
 impl QuantizedLinear {
@@ -55,8 +54,8 @@ impl QuantizedLinear {
         Self::with_backend(w_t, cfg, BackendKind::Packed)
     }
 
-    /// [`Self::from_weights`] on an explicit execution backend. All
-    /// backends produce bit-identical forwards from the same weights.
+    /// [`Self::from_weights`] on an explicit execution form. Both forms
+    /// produce bit-identical forwards from the same weights.
     ///
     /// # Errors
     ///
@@ -76,15 +75,15 @@ impl QuantizedLinear {
         // The threaded integer-LUT Sg-EM search — layer construction is the
         // offline weight-quantization moment, the path the paper's §6
         // end-to-end setting exercises per layer — followed by the
-        // backend's one-time decode into its execution form.
+        // one-time decode into the execution form.
         let packed = PackedWeightTensor::quantize_parallel(w_t, cfg);
-        let prepared = backend.backend().prepare(packed);
-        Ok(QuantizedLinear { prepared, backend })
+        let prepared = backend.prepare(packed);
+        Ok(QuantizedLinear { prepared })
     }
 
-    /// The execution backend this layer runs on.
+    /// The execution form this layer runs on.
     pub fn backend(&self) -> BackendKind {
-        self.backend
+        self.prepared.kind()
     }
 
     /// The configuration the weights were quantized with.
@@ -113,9 +112,9 @@ impl QuantizedLinear {
         self.prepared.packed()
     }
 
-    /// W4A4 forward pass through the layer's backend: quantizes `x` online
-    /// (Elem-EM-top1) and runs the bit-exact PE GEMM against the prepared
-    /// weights. The caller-held [`GemmScratch`](m2xfp::gemm::GemmScratch)
+    /// W4A4 forward pass through the layer's execution form: quantizes `x`
+    /// online (Elem-EM-top1) and runs the bit-exact PE GEMM against the
+    /// prepared weights. The caller-held [`GemmScratch`](m2xfp::gemm::GemmScratch)
     /// holds the decoded activations and is reused across calls instead of
     /// allocated fresh; its state never changes the output bits.
     ///
@@ -127,9 +126,7 @@ impl QuantizedLinear {
         x: &Matrix,
         scratch: &mut m2xfp::gemm::GemmScratch,
     ) -> Result<Matrix, Error> {
-        self.backend
-            .backend()
-            .forward_scratch(x, &self.prepared, scratch)
+        self.prepared.forward_scratch(x, scratch)
     }
 
     /// Serializes the weights to the paper's three-stream byte layout.
@@ -155,7 +152,8 @@ mod tests {
     use super::*;
     use m2x_tensor::stats::nmse;
     use m2x_tensor::Xoshiro;
-    use m2xfp::gemm::GemmScratch;
+    use m2xfp::format::ActTensor;
+    use m2xfp::gemm::{qgemm_reference, GemmScratch};
 
     fn layer(out: usize, inp: usize, seed: u64) -> QuantizedLinear {
         let mut r = Xoshiro::seed(seed);
@@ -182,17 +180,14 @@ mod tests {
         let x = Matrix::from_fn(5, 64, |_, _| r.laplace(1.0));
         let cfg = M2xfpConfig::default();
         let mut scratch = GemmScratch::new();
-        let outs: Vec<Matrix> = BackendKind::ALL
-            .iter()
-            .map(|&k| {
-                let l = QuantizedLinear::with_backend(&w, cfg, k).unwrap();
-                assert_eq!(l.backend(), k);
-                l.forward_scratch(&x, &mut scratch).unwrap()
-            })
-            .collect();
-        for o in &outs[1..] {
-            for (a, b) in outs[0].as_slice().iter().zip(o.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits());
+        let packed = PackedWeightTensor::quantize_parallel(&w, cfg);
+        let want = qgemm_reference(&ActTensor::quantize(&x, cfg), &packed.to_grouped());
+        for k in BackendKind::ALL {
+            let l = QuantizedLinear::with_backend(&w, cfg, k).unwrap();
+            assert_eq!(l.backend(), k);
+            let got = l.forward_scratch(&x, &mut scratch).unwrap();
+            for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{k:?}");
             }
         }
     }

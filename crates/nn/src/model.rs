@@ -36,15 +36,16 @@
 //! per-request attention fanned out over scoped worker threads.
 //!
 //! Attention follows the paper's §6.4 hybrid: K is cached in the packed
-//! Sg-EM weight representation and consumed by the backend's quantized
-//! score GEMM; V rows are Sg-EM-quantized per token and dequantized at
-//! use; Q and the probability matrix P run the online Elem-EM path. The
-//! cache grows **decode-on-append** (`ExecBackend::append_rows`): each new
-//! token's rows are quantized and decoded straight into the prepared
-//! execution form, so a decode step costs O(1) per head instead of
-//! re-decoding the whole K plane. Everything quantized routes through one
-//! [`ExecBackend`](m2xfp::backend::ExecBackend), so the whole model is
-//! bit-identical across the packed, grouped and reference engines.
+//! Sg-EM weight representation and consumed by the prepared form's
+//! quantized score GEMM; V rows are Sg-EM-quantized per token and
+//! dequantized at use; Q and the probability matrix P run the online
+//! Elem-EM path. The cache grows **decode-on-append**
+//! ([`PreparedWeights::append_rows`](m2xfp::backend::PreparedWeights::append_rows)):
+//! each new token's rows are quantized and decoded straight into the
+//! prepared execution form, so a decode step costs O(1) per head instead of
+//! re-decoding the whole K plane. Every quantized operand is prepared into
+//! one [`BackendKind`] form, so the whole model is bit-identical across the
+//! packed and grouped engines.
 
 use crate::kv_pool::{KvPagePool, PagedKv, PoolGeometry, PrefixMatch};
 use crate::linear::QuantizedLinear;
@@ -63,6 +64,31 @@ use std::sync::Arc;
 /// the worker scope is re-entered every layer, so below this the
 /// spawn/join overhead on the decode hot loop exceeds the parallel win.
 const ATTN_MACS_PER_WORKER: usize = 1 << 20;
+
+/// Worker budget for the per-layer attention phase of a multi-session
+/// step over `items` (session, head) pairs. The scope is re-entered every
+/// layer (the projections in between are sequential barriers), so each
+/// extra worker must be paid for by real score/value-GEMM volume or the
+/// spawn/join overhead sits directly on the decode hot loop: in auto mode
+/// (`threads == 0`) one worker is granted per [`ATTN_MACS_PER_WORKER`]
+/// attention MACs, capped at the available cores (mirrors `gemm_threads`'
+/// policy). Steps below one worker's volume, or with a single item, return
+/// 1 without querying the OS (`available_parallelism` costs microseconds
+/// per call). An explicit count is pinned exactly, like the `threads`
+/// argument of `qgemm_packed_planed_scratch`. Never more workers than
+/// items, never below one; any worker count computes identical bits.
+fn attn_workers(threads: usize, attn_macs: usize, items: usize) -> usize {
+    let cap = items.max(1);
+    if threads != 0 {
+        return threads.min(cap);
+    }
+    let extra = attn_macs / ATTN_MACS_PER_WORKER;
+    if extra == 0 || cap == 1 {
+        return 1;
+    }
+    let avail = std::thread::available_parallelism().map_or(1, |t| t.get());
+    avail.min(extra + 1).min(cap)
+}
 
 /// Row-wise RMS normalization (unit gain): keeps the residual stream's
 /// scale bounded across layers so deep stacks stay in the formats' dynamic
@@ -781,29 +807,12 @@ impl ModelWeights {
         let items: &[(usize, usize)] = &scr.items;
         let total: usize = counts.iter().sum();
 
-        // Worker budget for the per-layer attention phase. The scope is
-        // re-entered every layer (the projections in between are sequential
-        // barriers), so each extra worker must be paid for by real
-        // score/value-GEMM volume or the spawn/join overhead sits directly
-        // on the decode hot loop: in auto mode (`threads == 0`) one worker
-        // is granted per [`ATTN_MACS_PER_WORKER`] attention MACs, capped at
-        // the available cores (mirrors `gemm_threads`' policy). An explicit
-        // count is pinned exactly, like the `threads` argument of
-        // `qgemm_packed_planed_scratch`. Any worker count computes
-        // identical bits.
-        let attn_workers = if threads == 0 {
-            let attn_macs: usize = counts
-                .iter()
-                .zip(p0s)
-                .map(|(&c, &p0)| 2 * c * (p0 + c) * self.head_dim * self.heads)
-                .sum();
-            let avail = std::thread::available_parallelism().map_or(1, |t| t.get());
-            avail.min(attn_macs / ATTN_MACS_PER_WORKER + 1)
-        } else {
-            threads
-        }
-        .min((sessions.len() * self.heads).max(1))
-        .max(1);
+        let attn_macs: usize = counts
+            .iter()
+            .zip(p0s)
+            .map(|(&c, &p0)| 2 * c * (p0 + c) * self.head_dim * self.heads)
+            .sum();
+        let attn_workers = attn_workers(threads, attn_macs, sessions.len() * self.heads);
 
         let mut h = tally.time(stage::ASSEMBLE, || {
             let mut h = Matrix::zeros(total, self.hidden);
@@ -1021,7 +1030,6 @@ impl ModelWeights {
         p0: usize,
         scratch: &mut GemmScratch,
     ) -> Result<Matrix, Error> {
-        let be = self.backend.backend();
         let heads_per_kv = self.heads / self.kv_heads;
         let kvh = head / heads_per_kv;
         let scale = 1.0 / (self.head_dim as f32).sqrt();
@@ -1029,14 +1037,14 @@ impl ModelWeights {
         let seq = kv.layer_len(li);
         let pt = kv.pool().page_tokens();
         let pages = seq.div_ceil(pt);
-        // Scores = Q·Kᵀ through the backend's quantized GEMM, one GEMM
+        // Scores = Q·Kᵀ through the prepared K's quantized GEMM, one GEMM
         // per page: each page's K rows are exactly the weight layout
         // ([rows, head_dim], grouped along the reduction dimension).
         // Decode steps (t == 1) ride the GEMV fast path with the reused
         // scratch.
         let mut scores = Matrix::zeros(t, seq);
         for pi in 0..pages {
-            let s = be.forward_scratch(qh, kv.page_k(pi, li, kvh), scratch)?;
+            let s = kv.page_k(pi, li, kvh).forward_scratch(qh, scratch)?;
             write_cols(&mut scores, &s, pi * pt);
         }
         for i in 0..t {
@@ -1055,7 +1063,7 @@ impl ModelWeights {
         // P is produced on the fly → online Elem-EM path; V rows were
         // quantized on arrival (per token, so decode == batch) and their
         // dequantized form is cached per page for the value mix.
-        let pq = be.fake_quantize_activations(&p, self.cfg);
+        let pq = self.backend.fake_quantize_activations(&p, self.cfg);
         let mut oh = Matrix::zeros(t, self.head_dim);
         for pi in 0..pages {
             let rows = kv.page_rows(li, pi);
@@ -1304,10 +1312,9 @@ impl QuantizedModel {
     }
 
     fn step(&mut self, x: &Matrix, trace: Option<&mut Vec<Matrix>>) -> Result<Matrix, Error> {
-        let inputs = [x.clone()];
         let mut outs = self.weights.step_multi(
             &mut [&mut self.state],
-            &inputs,
+            std::slice::from_ref(x),
             1,
             trace,
             &mut self.scratch,
@@ -1583,5 +1590,45 @@ mod tests {
             .build()
             .unwrap();
         assert!(m.reference_forward_batch(&tokens(2, 64)).is_err());
+    }
+
+    #[test]
+    fn attn_workers_guard_matches_formula() {
+        // The early return for sub-worker volumes and single-item steps
+        // gives the value of the full formula everywhere.
+        let avail = std::thread::available_parallelism().map_or(1, |t| t.get());
+        let formula = |threads: usize, macs: usize, items: usize| {
+            if threads == 0 {
+                avail.min(macs / ATTN_MACS_PER_WORKER + 1)
+            } else {
+                threads
+            }
+            .min(items.max(1))
+            .max(1)
+        };
+        let w = ATTN_MACS_PER_WORKER;
+        let macs = [
+            0,
+            1,
+            w - 1,
+            w,
+            w + 1,
+            2 * w,
+            3 * w,
+            7 * w,
+            64 * w,
+            usize::MAX,
+        ];
+        for threads in [0usize, 1, 2, 3, 8, 64] {
+            for m in macs {
+                for items in [0usize, 1, 2, 3, 8, 32, 256] {
+                    assert_eq!(
+                        attn_workers(threads, m, items),
+                        formula(threads, m, items),
+                        "threads={threads} macs={m} items={items}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -12,7 +12,7 @@ use crate::profile::ModelProfile;
 use crate::synth::{activation_matrix, weight_matrix};
 use m2x_tensor::stats::nmse;
 use m2x_tensor::Matrix;
-use m2xfp::backend::ExecBackend;
+use m2xfp::backend::BackendKind;
 use m2xfp::format::PackedWeightTensor;
 use m2xfp::gemm::GemmScratch;
 use m2xfp::{M2xfpConfig, TensorQuantizer};
@@ -98,15 +98,16 @@ pub fn evaluate(
     )
 }
 
-/// Evaluates the M2XFP format through an execution backend: every quantized
-/// GEMM runs the backend's actual engine (`ExecBackend::forward_scratch` —
-/// online activation encode + integer PE kernel against prepared weights)
+/// Evaluates the M2XFP format through an execution form: every quantized
+/// GEMM runs the engine's actual forward
+/// ([`PreparedWeights::forward_scratch`](m2xfp::backend::PreparedWeights::forward_scratch)
+/// — online activation encode + integer PE kernel against prepared weights)
 /// instead of the fake-quantize-then-f32-matmul route of [`evaluate`]. This
-/// is the measurement the engine really ships; all backends report
+/// is the measurement the engine really ships; both forms report
 /// bit-identical numbers.
 pub fn evaluate_backend(
     profile: &ModelProfile,
-    backend: &dyn ExecBackend,
+    backend: BackendKind,
     qcfg: M2xfpConfig,
     cfg: &EvalConfig,
 ) -> W4a4Stats {
@@ -119,8 +120,8 @@ pub fn evaluate_backend(
         qcfg.group_size,
         |x, w_t, _layer| {
             let prepared = backend.prepare(PackedWeightTensor::quantize_parallel(w_t, qcfg));
-            backend
-                .forward_scratch(x, &prepared, &mut GemmScratch::new())
+            prepared
+                .forward_scratch(x, &mut GemmScratch::new())
                 // m2x-lint: allow(panic) synthesized shapes are group-aligned by construction; the infallible closure signature is fixed by the harness
                 .expect("aligned dims by construction")
         },
@@ -235,13 +236,12 @@ mod tests {
 
     #[test]
     fn backend_evaluation_identical_across_backends() {
-        use m2xfp::backend::BackendKind;
         let p = ModelProfile::llama3_8b();
         let cfg = EvalConfig::tiny();
         let qcfg = M2xfpConfig::default();
         let runs: Vec<W4a4Stats> = BackendKind::ALL
             .iter()
-            .map(|k| evaluate_backend(&p, k.backend(), qcfg, &cfg))
+            .map(|&k| evaluate_backend(&p, k, qcfg, &cfg))
             .collect();
         assert!(runs[0].mean_nmse > 0.0 && runs[0].mean_nmse < 0.05);
         for r in &runs[1..] {

@@ -4,8 +4,8 @@
 //! lazily with the adaptive Sg-EM search; Q and the attention probabilities
 //! P are produced on the fly and use the online Elem-EM path. This example
 //! measures attention-output error for that hybrid vs plain MXFP4, runs the
-//! same head through the engine's execution backends (bit-identical by
-//! construction), and drives a `QuantizedModel` prefill→decode session
+//! same head through the engine's packed and grouped execution forms
+//! (bit-identical by construction), and drives a `QuantizedModel` prefill→decode session
 //! whose KV state grows in fixed-size pages drawn from the process-wide
 //! `KvPagePool`, packed in the Sg-EM representation —
 //! decode-on-append: each new token's K rows are quantized and decoded
@@ -64,11 +64,11 @@ fn main() {
         e_mx.output_nmse / e_m2.output_nmse
     );
 
-    // ── 3. The same head through the engine backends: score and value
-    //       GEMMs run the real quantized kernels; every backend agrees ──
+    // ── 3. The same head through both execution forms: score and value
+    //       GEMMs run the real quantized kernels; the forms agree ──
     let cfg = M2xfpConfig::default();
     for kind in BackendKind::ALL {
-        let e = evaluate_attention_backend(&q, &k, &v, kind.backend(), cfg).expect("shapes");
+        let e = evaluate_attention_backend(&q, &k, &v, kind, cfg).expect("shapes");
         println!(
             "  engine[{:<9}] scores NMSE {:.6}  output NMSE {:.6}",
             kind.name(),

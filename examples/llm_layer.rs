@@ -2,7 +2,7 @@
 //! weights/activations, run every projection GEMM quantized, and report the
 //! per-layer output error for each format — the measurement underlying
 //! Tables 2–4 — then the same measurement through the engine's real
-//! execution backend, and finally a whole quantized model via the
+//! packed execution form, and finally a whole quantized model via the
 //! `QuantizedModel` session API.
 //!
 //! Run with: `cargo run --release --example llm_layer`
@@ -53,14 +53,10 @@ fn main() {
     println!("Expected ordering: M2XFP < NVFP4 < MXFP4 (paper Tbl. 2-3).\n");
 
     // ── 2. The same measurement through the real engine: online encode +
-    //       integer PE kernel via the ExecBackend abstraction. All three
-    //       backends are bit-identical; run the production one ──
-    let e = evaluate_backend(
-        &model,
-        BackendKind::Packed.backend(),
-        M2xfpConfig::default(),
-        &cfg,
-    );
+    //       integer PE kernel against weights prepared into an execution
+    //       form. Packed and grouped are bit-identical; run the
+    //       production one ──
+    let e = evaluate_backend(&model, BackendKind::Packed, M2xfpConfig::default(), &cfg);
     println!(
         "{} (engine-true qGEMM): MAC-weighted mean = {:.5}",
         e.format, e.mean_nmse

@@ -1,12 +1,12 @@
-//! Property-based tests on the unified engine API: execution-backend
-//! bit-equivalence (linear, attention, whole model), the prefill/decode
-//! session contract, and the branch-free online activation encoder's
-//! bit-identity against the float-codec oracle.
+//! Property-based tests on the unified engine API: execution-form
+//! bit-equivalence (linear against the f64 oracle, whole model), the
+//! prefill/decode session contract, and the branch-free online activation
+//! encoder's bit-identity against the float-codec oracle.
 
 use m2xfp_repro::core::activation::{quantize_group_into, quantize_group_into_reference};
 use m2xfp_repro::core::backend::BackendKind;
-use m2xfp_repro::core::format::PackedWeightTensor;
-use m2xfp_repro::core::gemm::GemmScratch;
+use m2xfp_repro::core::format::{ActTensor, PackedWeightTensor};
+use m2xfp_repro::core::gemm::{qgemm_reference, GemmScratch};
 use m2xfp_repro::core::{M2xfpConfig, ScaleRule};
 use m2xfp_repro::nn::linear::QuantizedLinear;
 use m2xfp_repro::nn::model::ModelBuilder;
@@ -21,49 +21,47 @@ fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
     }
 }
 
-/// The packed, grouped and reference backends produce bit-identical linear
-/// forwards on ragged reduction dims, every scale rule, both metadata
-/// granularities (4 and 2 subgroups per group) and fixed/adaptive scales.
+/// The packed and grouped forms produce linear forwards bit-identical to
+/// the f64 oracle `qgemm_reference` on one to four rows (plus a random
+/// batch), ragged reduction dims, every scale rule (cycled by case), both
+/// metadata granularities (4 and 2 subgroups per group) and fixed/adaptive
+/// scales.
 #[test]
 fn backends_bit_identical_on_linear_forwards() {
     let mut scratch = GemmScratch::new();
     cases(24, |g| {
         let cfg = M2xfpConfig {
             subgroup_size: if g.below(2) == 0 { 8 } else { 16 },
-            scale_rule: ScaleRule::ALL[g.below(5)],
+            scale_rule: ScaleRule::ALL[g.case % ScaleRule::ALL.len()],
             adaptive_weight_scale: g.below(2) == 0,
             ..M2xfpConfig::default()
         };
         // Ragged K exercises the zero-padded trailing groups of every
-        // kernel (the raw backend API has no alignment requirement).
+        // kernel (the raw prepared-weights API has no alignment
+        // requirement).
         let k = 32 + g.below(70);
         let n = 1 + g.below(12);
-        let m = 1 + g.below(6);
         let scale = [0.03f32, 1.0, 40.0][g.below(3)];
         let w = {
             let mut vals = g.vec_f32(n * k, -2.0, 2.0);
             vals.iter_mut().for_each(|v| *v *= scale);
             Matrix::from_vec(n, k, vals)
         };
-        let x = Matrix::from_vec(m, k, g.vec_f32(m * k, -4.0, 4.0));
         let packed = PackedWeightTensor::quantize_parallel(&w, cfg);
-        let base = {
-            let be = BackendKind::Packed.backend();
-            be.forward_scratch(&x, &be.prepare(packed.clone()), &mut scratch)
-                .unwrap()
-        };
-        for kind in [BackendKind::Grouped, BackendKind::Reference] {
-            let be = kind.backend();
-            let y = be
-                .forward_scratch(&x, &be.prepare(packed.clone()), &mut scratch)
-                .unwrap();
-            assert_bits_eq(&base, &y, &format!("case {} {:?}", g.case, kind));
+        let prepared = BackendKind::ALL.map(|kind| kind.prepare(packed.clone()));
+        for m in [1, 2, 3, 4, 1 + g.below(6)] {
+            let x = Matrix::from_vec(m, k, g.vec_f32(m * k, -4.0, 4.0));
+            let want = qgemm_reference(&ActTensor::quantize(&x, cfg), &packed.to_grouped());
+            for p in &prepared {
+                let y = p.forward_scratch(&x, &mut scratch).unwrap();
+                assert_bits_eq(&want, &y, &format!("case {} m={m} {:?}", g.case, p.kind()));
+            }
         }
     });
 }
 
-/// Builds one tiny model per backend (same profile/config/seed) and checks
-/// `forward_batch` is bit-identical across all three engines, across
+/// Builds one tiny model per form (same profile/config/seed) and checks
+/// `forward_batch` is bit-identical across both engines, across
 /// metadata granularities and scale rules — the acceptance bar for the
 /// engine abstraction on a ≥4-layer synthetic model.
 #[test]
@@ -124,8 +122,8 @@ fn prefill_decode_split_matches_batch() {
     }
 }
 
-/// Layers built on different backends from the same weights expose
-/// byte-identical packed streams (the canonical bits are backend-free).
+/// Layers built on different forms from the same weights expose
+/// byte-identical packed streams (the canonical bits are form-free).
 #[test]
 fn layer_weights_canonical_across_backends() {
     cases(8, |g| {

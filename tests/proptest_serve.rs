@@ -1,6 +1,6 @@
 //! Property-based tests on the `m2x-serve` continuous-batching runtime:
 //! for any mix of request shapes, arrival interleavings, admission-window
-//! sizes, worker-thread counts and execution backends, every scheduled
+//! sizes, worker-thread counts and execution forms, every scheduled
 //! request's token stream is **bit-identical** to running that request
 //! alone on a fresh session — the scheduler only changes *when* work runs,
 //! never *what* it computes.
@@ -40,7 +40,7 @@ fn prompt(tokens: usize, seed: usize, hidden: usize) -> Matrix {
 fn scheduled_requests_bit_identical_to_solo() {
     cases(6, |g| {
         let layers = 1 + g.below(2);
-        let backend = BackendKind::ALL[g.below(3)];
+        let backend = BackendKind::ALL[g.below(BackendKind::ALL.len())];
         let weights: Arc<ModelWeights> = Arc::new(
             ModelBuilder::scaled(&ModelProfile::llama3_8b(), 64, layers)
                 .config(M2xfpConfig::default())
