@@ -6,11 +6,14 @@
 //! committed `results/BENCH_ci_baseline.json` (same dims, produced by the
 //! same emitter) and exits non-zero when
 //!
-//! * any exactness flag (`exact_match`, `weight_search_exact`,
-//!   `e2e_model.backends_exact`, `serve.batch_exact`, the
-//!   fault-tolerance flags `serve.chaos_exact` / `serve.zero_leak`, or
-//!   the observability flags `telemetry.trace_exact` /
-//!   `telemetry.zero_alloc`) is `false` in the current run, or
+//! * any of the 14 exactness flags in `GATED_EXACT` is `false` in the
+//!   current run: the kernel flags `exact_match`, `lint_clean`,
+//!   `weight_search_exact`, `decode_kernel.decode_exact`; the whole-model
+//!   `e2e_model.backends_exact`; the serving flags `serve.batch_exact`,
+//!   `serve.chaos_exact`, `serve.zero_leak`; the paged-KV flags
+//!   `kv_pool.reuse_exact`, `kv_pool.zero_leak`; the front-end flags
+//!   `gateway.stream_exact`, `gateway.zero_leak`; and the observability
+//!   flags `telemetry.trace_exact`, `telemetry.zero_alloc`; or
 //! * any within-run speedup ratio — per-kernel, the whole-model
 //!   `e2e_model.speedup_packed` or the serving `serve.speedup_batch`
 //!   (batched-over-solo) — dropped by more than the tolerance
@@ -222,6 +225,20 @@ const GATED_EXACT: [&str; 14] = [
     "kv_pool.zero_leak",
 ];
 
+type Keys = &'static [&'static str];
+
+/// How each numeric list is compared against the baseline: (keys, lower
+/// is better, hard even without `M2X_GATE_ABS_TIMES`, a key the baseline
+/// gates but the current run lost fails, detail decimals, detail unit).
+/// Times get a `limit` above the baseline; throughputs and speedups a
+/// `floor` below it. Only the hardware-normalized speedups are always
+/// hard.
+const NUMERIC_GATES: [(Keys, bool, bool, bool, usize, &str); 3] = [
+    (&GATED_TIMES, true, false, false, 6, "s"),
+    (&GATED_THROUGHPUTS, false, false, false, 3, ""),
+    (&GATED_SPEEDUPS, false, true, true, 3, "x"),
+];
+
 /// One gate verdict: metric name, baseline, current, allowed, pass.
 /// `hard` failures fail the gate; soft ones only warn.
 struct Verdict {
@@ -257,75 +274,47 @@ fn evaluate(
             hard: true,
         });
     }
-    for metric in GATED_TIMES {
-        let (pass, detail) = match (current.get(metric), baseline.get(metric)) {
-            (Some(Scalar::Num(cur)), Some(Scalar::Num(base))) => {
-                let limit = base * (1.0 + tolerance);
-                (
-                    *cur <= limit,
-                    format!("current {cur:.6}s vs baseline {base:.6}s (limit {limit:.6}s)"),
-                )
-            }
-            _ => (
-                true,
-                "absent in current or baseline (not gated)".to_string(),
-            ),
-        };
-        verdicts.push(Verdict {
-            metric: metric.to_string(),
-            detail,
-            pass,
-            hard: abs_times_hard,
-        });
-    }
-    for metric in GATED_THROUGHPUTS {
-        let (pass, detail) = match (current.get(metric), baseline.get(metric)) {
-            (Some(Scalar::Num(cur)), Some(Scalar::Num(base))) => {
-                let floor = base * (1.0 - tolerance);
-                (
-                    *cur >= floor,
-                    format!("current {cur:.3} vs baseline {base:.3} (floor {floor:.3})"),
-                )
-            }
-            _ => (
-                true,
-                "absent in current or baseline (not gated)".to_string(),
-            ),
-        };
-        verdicts.push(Verdict {
-            metric: metric.to_string(),
-            detail,
-            pass,
-            hard: abs_times_hard,
-        });
-    }
-    for metric in GATED_SPEEDUPS {
-        let (pass, detail) = match (current.get(metric), baseline.get(metric)) {
-            (Some(Scalar::Num(cur)), Some(Scalar::Num(base))) => {
-                let floor = base * (1.0 - tolerance);
-                (
-                    *cur >= floor,
-                    format!("current {cur:.3}x vs baseline {base:.3}x (floor {floor:.3}x)"),
-                )
-            }
-            // Losing a ratio the baseline gates (key gone from the emitter)
-            // would silently disarm the gate; an explicit null is a
-            // deliberately skipped measurement and stays ungated.
-            (None, Some(Scalar::Num(_))) => (
-                false,
-                "missing from current run but gated in baseline".to_string(),
-            ),
-            _ => (
-                true,
-                "absent or null in current or baseline (not gated)".to_string(),
-            ),
-        };
-        verdicts.push(Verdict {
-            metric: metric.to_string(),
-            detail,
-            pass,
-            hard: true,
-        });
+    for &(keys, lower_is_better, always_hard, missing_fails, d, u) in &NUMERIC_GATES {
+        for metric in keys {
+            let (pass, detail) = match (current.get(*metric), baseline.get(*metric)) {
+                (Some(Scalar::Num(cur)), Some(Scalar::Num(base))) => {
+                    let (pass, name, bound) = if lower_is_better {
+                        let limit = base * (1.0 + tolerance);
+                        (*cur <= limit, "limit", limit)
+                    } else {
+                        let floor = base * (1.0 - tolerance);
+                        (*cur >= floor, "floor", floor)
+                    };
+                    (
+                        pass,
+                        format!(
+                            "current {cur:.d$}{u} vs baseline {base:.d$}{u} ({name} {bound:.d$}{u})"
+                        ),
+                    )
+                }
+                // Losing a metric the baseline gates (key gone from the
+                // emitter) would silently disarm the gate; an explicit null
+                // is a deliberately skipped measurement and stays ungated.
+                (None, Some(Scalar::Num(_))) if missing_fails => (
+                    false,
+                    "missing from current run but gated in baseline".to_string(),
+                ),
+                _ if missing_fails => (
+                    true,
+                    "absent or null in current or baseline (not gated)".to_string(),
+                ),
+                _ => (
+                    true,
+                    "absent in current or baseline (not gated)".to_string(),
+                ),
+            };
+            verdicts.push(Verdict {
+                metric: metric.to_string(),
+                detail,
+                pass,
+                hard: always_hard || abs_times_hard,
+            });
+        }
     }
     // Dims must match or the time comparison is meaningless. The core
     // emitter dims are required; the e2e-section dims gate the e2e metrics
@@ -760,6 +749,29 @@ mod tests {
         let trimmed = SAMPLE.replace("\"hidden\": 128, \"layers\": 2, \"tokens\": 16, ", "");
         let both = flatten_json(&trimmed).unwrap();
         assert!(hard_fails(&both, &both).is_empty());
+    }
+
+    /// A baseline edit that drops a key would disarm its gate ("absent
+    /// in current or baseline (not gated)") without failing anything:
+    /// every gated key and every dims key must be armed in the committed
+    /// baseline, flags as booleans and the rest as numbers.
+    #[test]
+    fn committed_baseline_arms_every_gate() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/BENCH_ci_baseline.json"
+        );
+        let base = flatten_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+        // `evaluate` yields one verdict per GATED_* key and per dims key.
+        for v in evaluate(&base, &base, 0.25, true) {
+            let flag = GATED_EXACT.contains(&v.metric.as_str());
+            match base.get(&v.metric) {
+                Some(Scalar::Bool(_)) if flag => {}
+                Some(Scalar::Num(_)) if !flag => {}
+                other => panic!("baseline `{}` is {other:?}: its gate is disarmed", v.metric),
+            }
+            assert!(v.pass, "baseline fails against itself: {}", v.metric);
+        }
     }
 
     #[test]

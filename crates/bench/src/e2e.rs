@@ -1,14 +1,14 @@
 //! Whole-model end-to-end measurement harness — the §6 setting behind the
-//! `e2e_model` driver binary and the `e2e_model` section of
-//! `bench_m2xfp_json`.
+//! `e2e_model` section of `bench_m2xfp_json`.
 //!
 //! Builds a scaled synthetic LLaMA3-8B stack through
 //! [`m2x_nn::model::ModelBuilder`], times offline quantization, batched
 //! forward throughput on the packed and grouped backends (verifying bit
 //! equality), the prefill→decode serving loop, and measures per-layer +
-//! whole-model NRMSE against the f32 reference path. The JSON it renders is
-//! array-free so `ci_perf_gate`'s flattener can gate every field.
+//! whole-model NRMSE against the f32 reference path.
 
+use crate::measure::{bits_eq, time_best};
+use crate::report::Json;
 use m2x_nn::model::{ModelBuilder, QuantizedModel};
 use m2x_nn::profile::ModelProfile;
 use m2x_nn::synth::activation_matrix;
@@ -83,17 +83,6 @@ pub struct E2eReport {
     pub per_layer_nmse: Vec<f64>,
 }
 
-fn time_best<O>(reps: usize, mut f: impl FnMut() -> O) -> (f64, O) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        out = Some(black_box(f()));
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    (best, out.expect("reps >= 1"))
-}
-
 /// Token embeddings for the run: profile-calibrated activations squashed
 /// into an embedding-like range so deep stacks stay well-conditioned.
 pub fn token_embeddings(profile: &ModelProfile, tokens: usize, hidden: usize) -> Matrix {
@@ -121,11 +110,7 @@ pub fn run(cfg: E2eConfig) -> E2eReport {
     let mut grouped = build(&profile, &cfg, BackendKind::Grouped);
     let (forward_batch_grouped_s, y_grouped) =
         time_best(cfg.reps, || grouped.forward_batch(&x).expect("aligned"));
-    let backends_exact = y_packed
-        .as_slice()
-        .iter()
-        .zip(y_grouped.as_slice())
-        .all(|(a, b)| a.to_bits() == b.to_bits());
+    let backends_exact = bits_eq(&y_packed, &y_grouped);
 
     // Serving loop: prefill half the batch, then single-token decodes on
     // the decode-on-append KV path (each step grows the prepared K plane
@@ -176,50 +161,31 @@ pub fn run(cfg: E2eConfig) -> E2eReport {
 }
 
 impl E2eReport {
-    /// Renders the report as a JSON object (no arrays — `ci_perf_gate`'s
-    /// flattener reads every numeric/bool field). Per-layer errors become
-    /// `per_layer.layer_<i>` keys.
-    pub fn to_json(&self) -> String {
+    /// The `e2e_model` section: dims flat, per-layer errors as
+    /// `per_layer.layer_<i>`.
+    pub fn to_json(&self) -> Json {
         let per_layer = self
             .per_layer_nmse
             .iter()
             .enumerate()
-            .map(|(i, e)| format!("    \"layer_{i}\": {e:.8}"))
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            r#"{{
-  "bench": "e2e_model",
-  "model": "LLaMA3-8B-scaled",
-  "dims": {{"hidden": {h}, "layers": {l}, "tokens": {t}, "heads": {heads}, "kv_heads": {kvh}}},
-  "weight_bytes": {wb},
-  "quantize_s": {qs:.6},
-  "forward_batch_packed_s": {fp:.6},
-  "forward_batch_grouped_s": {fg:.6},
-  "gmacs": {gm:.4},
-  "speedup_packed": {sp:.3},
-  "backends_exact": {ex},
-  "decode_tokens_per_s": {dt:.2},
-  "nrmse": {nr:.6},
-  "per_layer": {{
-{per_layer}
-  }}
-}}"#,
-            h = self.cfg.hidden,
-            l = self.cfg.layers,
-            t = self.cfg.tokens,
-            heads = self.heads,
-            kvh = self.kv_heads,
-            wb = self.weight_bytes,
-            qs = self.quantize_s,
-            fp = self.forward_batch_packed_s,
-            fg = self.forward_batch_grouped_s,
-            gm = self.gmacs,
-            sp = self.speedup_packed,
-            ex = self.backends_exact,
-            dt = self.decode_tokens_per_s,
-            nr = self.nrmse,
-        )
+            .fold(Json::new(), |j, (i, e)| j.num(&format!("layer_{i}"), *e, 8));
+        Json::new()
+            .int("hidden", self.cfg.hidden)
+            .int("layers", self.cfg.layers)
+            .int("tokens", self.cfg.tokens)
+            .int("decode_steps", self.cfg.decode_steps)
+            .int("heads", self.heads)
+            .int("kv_heads", self.kv_heads)
+            .int("weight_bytes", self.weight_bytes)
+            .num("quantize_s", self.quantize_s, 6)
+            .num("forward_batch_packed_s", self.forward_batch_packed_s, 6)
+            .num("forward_batch_grouped_s", self.forward_batch_grouped_s, 6)
+            .num("gmacs", self.gmacs, 4)
+            .num("speedup_packed", self.speedup_packed, 3)
+            .flag("backends_exact", self.backends_exact)
+            .num("decode_tokens_per_s", self.decode_tokens_per_s, 2)
+            .num("nrmse", self.nrmse, 6)
+            .obj("per_layer", per_layer)
     }
 }
 
@@ -239,7 +205,7 @@ mod tests {
         assert!(r.nrmse > 0.0 && r.nrmse < 0.3, "nrmse {}", r.nrmse);
         assert_eq!(r.per_layer_nmse.len(), cfg.layers);
         assert!(r.gmacs > 0.0 && r.speedup_packed > 0.0);
-        let json = r.to_json();
+        let json = r.to_json().render();
         assert!(json.contains("\"backends_exact\": true"));
         assert!(json.contains("\"layer_1\""));
     }

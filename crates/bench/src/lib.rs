@@ -2,7 +2,9 @@
 //!
 //! The experiment harness: one binary per table/figure of the paper's
 //! evaluation (run `cargo run --release -p m2x-bench --bin <experiment>`),
-//! plus Criterion micro-benchmarks (`cargo bench`).
+//! plus Criterion micro-benchmarks (`cargo bench`) and the one JSON bench
+//! emitter, `bench_m2xfp_json`, which runs every kernel and serving
+//! scenario and feeds the `ci_perf_gate` regression gate.
 //!
 //! | Binary | Reproduces |
 //! |---|---|
@@ -29,6 +31,7 @@ pub mod eval;
 pub mod experiments;
 pub mod extensions;
 pub mod gateway_load;
+pub mod measure;
 pub mod paper;
 pub mod report;
 pub mod serving;

@@ -1,9 +1,9 @@
-//! Plain-text table rendering and result persistence.
+//! Plain-text table and bench-JSON rendering, and result persistence.
 //!
 //! Every experiment binary prints its tables to stdout and mirrors them to
 //! `results/<experiment>.txt` so `run_all` leaves a complete record.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::path::PathBuf;
 
@@ -133,6 +133,108 @@ impl Report {
     }
 }
 
+/// A JSON object whose fields render in insertion order: the one writer
+/// behind every bench JSON section. Each scenario report's `to_json`
+/// builds one and `bench_m2xfp_json` nests them. There are no arrays, so
+/// `ci_perf_gate`'s flattener reads every leaf by its dotted path.
+#[derive(Debug, Clone, Default)]
+pub struct Json {
+    fields: Vec<(String, Field)>,
+}
+
+#[derive(Debug, Clone)]
+enum Field {
+    /// A rendered number or string literal.
+    Raw(String),
+    /// A flag; `None` renders `null`, a skipped measurement.
+    Flag(Option<bool>),
+    Object(Json),
+}
+
+impl Json {
+    /// An empty object.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn field(mut self, key: &str, v: Field) -> Self {
+        self.fields.push((key.to_string(), v));
+        self
+    }
+
+    /// Adds a string. Keys and strings are written verbatim: they are
+    /// identifiers from this crate, never outside input.
+    pub fn str(self, key: &str, v: &str) -> Self {
+        self.field(key, Field::Raw(format!("\"{v}\"")))
+    }
+
+    /// Adds an integer (any value whose `Display` is a JSON integer).
+    pub fn int(self, key: &str, v: impl fmt::Display) -> Self {
+        self.field(key, Field::Raw(v.to_string()))
+    }
+
+    /// Adds a float with `decimals` fractional digits.
+    pub fn num(self, key: &str, v: f64, decimals: usize) -> Self {
+        self.field(key, Field::Raw(format!("{v:.decimals$}")))
+    }
+
+    /// Adds a float, or `null` for a skipped measurement.
+    pub fn opt_num(self, key: &str, v: Option<f64>, decimals: usize) -> Self {
+        match v {
+            Some(v) => self.num(key, v, decimals),
+            None => self.field(key, Field::Raw("null".into())),
+        }
+    }
+
+    /// Adds a flag: `true`/`false`, or `null` for a skipped measurement.
+    pub fn flag(self, key: &str, v: impl Into<Option<bool>>) -> Self {
+        self.field(key, Field::Flag(v.into()))
+    }
+
+    /// Nests an object.
+    pub fn obj(self, key: &str, v: Json) -> Self {
+        self.field(key, Field::Object(v))
+    }
+
+    /// Dotted paths of every flag that is `false`, nested objects
+    /// included.
+    pub fn false_flags(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for (key, v) in &self.fields {
+            match v {
+                Field::Flag(Some(false)) => out.push(key.clone()),
+                Field::Object(o) => {
+                    out.extend(o.false_flags().iter().map(|p| format!("{key}.{p}")))
+                }
+                Field::Flag(_) | Field::Raw(_) => {}
+            }
+        }
+        out
+    }
+
+    /// Renders with two-space indentation, one field per line.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out
+    }
+
+    fn write(&self, out: &mut String, depth: usize) {
+        out.push('{');
+        for (i, (key, v)) in self.fields.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(out, "{sep}\n{}\"{key}\": ", "  ".repeat(depth + 1));
+            match v {
+                Field::Raw(s) => out.push_str(s),
+                Field::Flag(Some(b)) => out.push_str(if *b { "true" } else { "false" }),
+                Field::Flag(None) => out.push_str("null"),
+                Field::Object(o) => o.write(out, depth + 1),
+            }
+        }
+        let _ = write!(out, "\n{}}}", "  ".repeat(depth));
+    }
+}
+
 /// `results/` at the workspace root (falls back to CWD).
 pub fn results_dir() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench -> ../../results
@@ -174,6 +276,22 @@ mod tests {
         r.line("hello");
         assert!(r.body().contains("== Test =="));
         assert!(r.body().contains("hello"));
+    }
+
+    #[test]
+    fn json_renders_nested_and_finds_false_flags() {
+        let j = Json::new()
+            .str("bench", "b")
+            .int("n", 3)
+            .num("s", 0.5, 3)
+            .opt_num("skip", None, 3)
+            .flag("ok", true)
+            .obj("sec", Json::new().flag("exact", false).flag("probe", None));
+        assert_eq!(
+            j.render(),
+            "{\n  \"bench\": \"b\",\n  \"n\": 3,\n  \"s\": 0.500,\n  \"skip\": null,\n  \"ok\": true,\n  \"sec\": {\n    \"exact\": false,\n    \"probe\": null\n  }\n}"
+        );
+        assert_eq!(j.false_flags(), ["sec.exact"]);
     }
 
     #[test]

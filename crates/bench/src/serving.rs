@@ -1,5 +1,5 @@
-//! Serving-throughput measurement harness — behind the `serve_bench`
-//! driver binary and the `serve` section of `bench_m2xfp_json`.
+//! Serving-throughput measurement harness — behind the `serve`,
+//! `kv_pool` and `telemetry` sections of `bench_m2xfp_json`.
 //!
 //! Builds one shared prepared model (`Arc<ModelWeights>`), generates `M`
 //! deterministic generation requests, then measures the same workload two
@@ -14,10 +14,14 @@
 //! Both paths produce the exact same per-request token streams
 //! (`batch_exact` — hard-gated in CI), so the wall-clock ratio
 //! `speedup_batch` is a pure scheduling/batching win: one walk over each
-//! prepared weight plane per step instead of one per request. The JSON it
-//! renders is array-free so `ci_perf_gate`'s flattener can gate every
-//! field.
+//! prepared weight plane per step instead of one per request.
+//!
+//! The same module holds the chaos + churn scenario (whose flags ride in
+//! the `serve` section), the paged-KV prefix-churn scenario and the
+//! telemetry overhead + fidelity scenario.
 
+use crate::measure::{bits_eq, percentile, time_best};
+use crate::report::Json;
 use m2x_nn::model::{ModelBuilder, ModelWeights};
 use m2x_nn::profile::ModelProfile;
 use m2x_nn::synth::activation_matrix;
@@ -97,17 +101,6 @@ pub struct ServeReport {
     pub peak_batch: usize,
 }
 
-fn time_best<O>(reps: usize, mut f: impl FnMut() -> O) -> (f64, O) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        out = Some(black_box(f()));
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    (best, out.expect("reps >= 1"))
-}
-
 /// The deterministic request mix: request `i` prefills `prompt_tokens`
 /// profile-calibrated embedding rows from stream seed `i`, so every
 /// request carries a **distinct** token stream — a scheduler bug that
@@ -120,14 +113,6 @@ pub fn request_prompts(cfg: &ServeBenchConfig) -> Vec<Matrix> {
             activation_matrix(&profile, i, cfg.prompt_tokens, cfg.hidden).map(|v| (v * 0.25).tanh())
         })
         .collect()
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
 }
 
 /// Runs the full measurement. Deterministic given the configuration
@@ -175,14 +160,10 @@ pub fn run(cfg: ServeBenchConfig) -> ServeReport {
         (completed, server.stats().peak_batch)
     });
 
-    let batch_exact = completed.iter().zip(&solo_outs).all(|(c, solo)| {
-        c.decoded.rows() == solo.rows()
-            && c.decoded
-                .as_slice()
-                .iter()
-                .zip(solo.as_slice())
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    });
+    let batch_exact = completed
+        .iter()
+        .zip(&solo_outs)
+        .all(|(c, solo)| bits_eq(&c.decoded, solo));
 
     let mut latencies: Vec<f64> = completed
         .iter()
@@ -207,41 +188,26 @@ pub fn run(cfg: ServeBenchConfig) -> ServeReport {
 }
 
 impl ServeReport {
-    /// Renders the report as a flat-gateable JSON object (no arrays).
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{
-  "bench": "m2x_serve",
-  "model": "LLaMA3-8B-scaled",
-  "dims": {{"hidden": {h}, "layers": {l}, "requests": {r}, "prompt_tokens": {p}, "decode_steps": {d}, "max_batch": {mb}}},
-  "batch_exact": {ex},
-  "solo_s": {ss:.6},
-  "batch_s": {bs:.6},
-  "speedup_batch": {sp:.3},
-  "req_per_s": {rps:.3},
-  "decode_tok_per_s": {tps:.2},
-  "solo_decode_tok_per_s": {stps:.2},
-  "latency_p50_steps": {p50:.1},
-  "latency_p99_steps": {p99:.1},
-  "peak_batch": {pk}
-}}"#,
-            h = self.cfg.hidden,
-            l = self.cfg.layers,
-            r = self.cfg.requests,
-            p = self.cfg.prompt_tokens,
-            d = self.cfg.decode_steps,
-            mb = self.cfg.max_batch,
-            ex = self.batch_exact,
-            ss = self.solo_s,
-            bs = self.batch_s,
-            sp = self.speedup_batch,
-            rps = self.req_per_s,
-            tps = self.decode_tok_per_s,
-            stps = self.solo_decode_tok_per_s,
-            p50 = self.latency_p50_steps,
-            p99 = self.latency_p99_steps,
-            pk = self.peak_batch,
-        )
+    /// The `serve` section: dims flat. The emitter appends the chaos
+    /// scenario's fields to it.
+    pub fn to_json(&self) -> Json {
+        Json::new()
+            .int("hidden", self.cfg.hidden)
+            .int("layers", self.cfg.layers)
+            .int("requests", self.cfg.requests)
+            .int("prompt_tokens", self.cfg.prompt_tokens)
+            .int("decode_steps", self.cfg.decode_steps)
+            .int("max_batch", self.cfg.max_batch)
+            .num("solo_s", self.solo_s, 6)
+            .num("batch_s", self.batch_s, 6)
+            .num("speedup_batch", self.speedup_batch, 3)
+            .num("req_per_s", self.req_per_s, 3)
+            .num("decode_tok_per_s", self.decode_tok_per_s, 2)
+            .num("solo_decode_tok_per_s", self.solo_decode_tok_per_s, 2)
+            .flag("batch_exact", self.batch_exact)
+            .num("latency_p50_steps", self.latency_p50_steps, 1)
+            .num("latency_p99_steps", self.latency_p99_steps, 1)
+            .int("peak_batch", self.peak_batch)
     }
 }
 
@@ -401,7 +367,7 @@ pub fn run_chaos(cfg: ChaosBenchConfig) -> ChaosReport {
     for (i, id) in ids.iter().enumerate() {
         match server.wait(*id).expect("typed outcome") {
             RequestOutcome::Finished(c) => {
-                chaos_exact &= c.decoded == solo(&prompts[i]);
+                chaos_exact &= bits_eq(&c.decoded, &solo(&prompts[i]));
             }
             RequestOutcome::Failed { error } => {
                 // Only the plan may fail requests in this scenario.
@@ -424,7 +390,7 @@ pub fn run_chaos(cfg: ChaosBenchConfig) -> ChaosReport {
             .submit(p.clone(), cfg.decode_steps)
             .expect("server is live");
         match server.wait(id).expect("typed outcome") {
-            RequestOutcome::Finished(c) => chaos_exact &= c.decoded == solo(p),
+            RequestOutcome::Finished(c) => chaos_exact &= bits_eq(&c.decoded, &solo(p)),
             RequestOutcome::Failed { error } => chaos_exact &= error.contains("injected fault"),
             // A residual planned cancel is legal; nothing here carries a
             // deadline and a serial submitter cannot be shed.
@@ -460,55 +426,6 @@ pub fn run_chaos(cfg: ChaosBenchConfig) -> ChaosReport {
         failed: stats.failed,
         panics_recovered: stats.panics_recovered,
         wall_s,
-    }
-}
-
-impl ChaosReport {
-    /// Renders the report as a flat-gateable JSON object (no arrays).
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{
-  "bench": "m2x_serve_chaos",
-  "model": "LLaMA3-8B-scaled",
-  "dims": {{"hidden": {h}, "layers": {l}, "requests": {r}, "decode_steps": {d}, "max_batch": {mb}, "queue_capacity": {qc}}},
-  "faults": {{"seed": {seed}, "panics": {pa}, "delays": {de}, "cancels": {ca}, "horizon": {ho}}},
-  "chaos_exact": {ex},
-  "zero_leak": {zl},
-  "shed_rate": {sr:.3},
-  "p99_step_us": {p99:.1},
-  "recovery_ticks": {rt},
-  "finished": {fi},
-  "rejected": {rj},
-  "cancelled": {cn},
-  "deadline_exceeded": {dl},
-  "failed": {fa},
-  "panics_recovered": {pr},
-  "wall_s": {ws:.6}
-}}"#,
-            h = self.cfg.hidden,
-            l = self.cfg.layers,
-            r = self.cfg.requests,
-            d = self.cfg.decode_steps,
-            mb = self.cfg.max_batch,
-            qc = self.cfg.queue_capacity,
-            seed = self.cfg.seed,
-            pa = self.cfg.panics,
-            de = self.cfg.delays,
-            ca = self.cfg.cancels,
-            ho = self.cfg.fault_horizon,
-            ex = self.chaos_exact,
-            zl = self.zero_leak,
-            sr = self.shed_rate,
-            p99 = self.p99_step_us,
-            rt = self.recovery_ticks,
-            fi = self.finished,
-            rj = self.rejected,
-            cn = self.cancelled,
-            dl = self.deadline_exceeded,
-            fa = self.failed,
-            pr = self.panics_recovered,
-            ws = self.wall_s,
-        )
     }
 }
 
@@ -604,15 +521,6 @@ pub struct PrefixChurnReport {
     pub decoded_bytes: u64,
     /// Wall time of the whole scenario (seconds), advisory.
     pub wall_s: f64,
-}
-
-fn bits_eq(a: &Matrix, b: &Matrix) -> bool {
-    a.rows() == b.rows()
-        && a.cols() == b.cols()
-        && a.as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// The churn workload's prompts: one shared `prefix_tokens`-row prefix
@@ -737,51 +645,31 @@ pub fn run_prefix_churn(cfg: PrefixChurnConfig) -> PrefixChurnReport {
 }
 
 impl PrefixChurnReport {
-    /// Renders the report as a flat-gateable JSON object (no arrays).
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{
-  "bench": "m2x_kv_pool",
-  "model": "LLaMA3-8B-scaled",
-  "dims": {{"hidden": {h}, "layers": {l}, "requests": {r}, "prefix_tokens": {pt}, "suffix_tokens": {st}, "decode_steps": {d}, "max_batch": {mb}, "cancels": {ca}}},
-  "reuse_exact": {ex},
-  "zero_leak": {zl},
-  "prefix_hits": {ph},
-  "prefix_misses": {pm},
-  "hit_rate": {hr:.3},
-  "page_allocs": {pa},
-  "page_reuses": {pr},
-  "cow_clones": {cc},
-  "peak_pages": {pk},
-  "shared_pages_mid": {sm},
-  "fragmentation": {fr:.3},
-  "packed_bytes": {pb},
-  "decoded_bytes": {db},
-  "wall_s": {ws:.6}
-}}"#,
-            h = self.cfg.hidden,
-            l = self.cfg.layers,
-            r = self.cfg.requests,
-            pt = self.cfg.prefix_tokens,
-            st = self.cfg.suffix_tokens,
-            d = self.cfg.decode_steps,
-            mb = self.cfg.max_batch,
-            ca = self.cfg.cancels,
-            ex = self.reuse_exact,
-            zl = self.zero_leak,
-            ph = self.prefix_hits,
-            pm = self.prefix_misses,
-            hr = self.hit_rate,
-            pa = self.page_allocs,
-            pr = self.page_reuses,
-            cc = self.cow_clones,
-            pk = self.peak_pages,
-            sm = self.shared_pages_mid,
-            fr = self.fragmentation,
-            pb = self.packed_bytes,
-            db = self.decoded_bytes,
-            ws = self.wall_s,
-        )
+    /// The `kv_pool` section: dims flat.
+    pub fn to_json(&self) -> Json {
+        Json::new()
+            .int("hidden", self.cfg.hidden)
+            .int("layers", self.cfg.layers)
+            .int("requests", self.cfg.requests)
+            .int("prefix_tokens", self.cfg.prefix_tokens)
+            .int("suffix_tokens", self.cfg.suffix_tokens)
+            .int("decode_steps", self.cfg.decode_steps)
+            .int("max_batch", self.cfg.max_batch)
+            .int("cancels", self.cfg.cancels)
+            .flag("reuse_exact", self.reuse_exact)
+            .flag("zero_leak", self.zero_leak)
+            .int("prefix_hits", self.prefix_hits)
+            .int("prefix_misses", self.prefix_misses)
+            .num("hit_rate", self.hit_rate, 3)
+            .int("page_allocs", self.page_allocs)
+            .int("page_reuses", self.page_reuses)
+            .int("cow_clones", self.cow_clones)
+            .int("peak_pages", self.peak_pages)
+            .int("shared_pages_mid", self.shared_pages_mid)
+            .num("fragmentation", self.fragmentation, 3)
+            .int("packed_bytes", self.packed_bytes)
+            .int("decoded_bytes", self.decoded_bytes)
+            .num("wall_s", self.wall_s, 6)
     }
 }
 
@@ -1091,58 +979,32 @@ pub fn run_telemetry(cfg: TelemetryBenchConfig) -> TelemetryReport {
 }
 
 impl TelemetryReport {
-    /// Renders the report as a flat-gateable JSON object (no arrays).
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{
-  "bench": "m2x_telemetry",
-  "dims": {{"hidden": {h}, "layers": {l}, "requests": {r}, "prompt_tokens": {p}, "decode_steps": {d}}},
-  "trace_exact": {te},
-  "zero_alloc": {za},
-  "recording_allocs": {ra},
-  "overhead_ratio": {or:.3},
-  "traced_tok_per_s": {tt:.2},
-  "untraced_tok_per_s": {ut:.2},
-  "ticks": {ti},
-  "trace_events": {ev},
-  "trace_dropped": {dr},
-  "assemble_us": {sa:.1},
-  "encode_us": {se:.1},
-  "qgemm_us": {sq:.1},
-  "attention_us": {sat:.1},
-  "kv_append_us": {sk:.1},
-  "feedback_us": {sf:.1},
-  "stage_sum_us": {ss:.1},
-  "tick_sum_us": {ts:.1},
-  "stage_cover": {sc:.3}
-}}"#,
-            h = self.cfg.hidden,
-            l = self.cfg.layers,
-            r = self.cfg.requests,
-            p = self.cfg.prompt_tokens,
-            d = self.cfg.decode_steps,
-            te = self.trace_exact,
-            za = match self.zero_alloc {
-                Some(b) => b.to_string(),
-                None => "null".to_string(),
-            },
-            ra = self.recording_allocs,
-            or = self.overhead_ratio,
-            tt = self.traced_tok_per_s,
-            ut = self.untraced_tok_per_s,
-            ti = self.ticks,
-            ev = self.trace_events,
-            dr = self.trace_dropped,
-            sa = self.assemble_us,
-            se = self.encode_us,
-            sq = self.qgemm_us,
-            sat = self.attention_us,
-            sk = self.kv_append_us,
-            sf = self.feedback_us,
-            ss = self.stage_sum_us,
-            ts = self.tick_sum_us,
-            sc = self.stage_cover,
-        )
+    /// The `telemetry` section: dims flat.
+    pub fn to_json(&self) -> Json {
+        Json::new()
+            .int("hidden", self.cfg.hidden)
+            .int("layers", self.cfg.layers)
+            .int("requests", self.cfg.requests)
+            .int("prompt_tokens", self.cfg.prompt_tokens)
+            .int("decode_steps", self.cfg.decode_steps)
+            .flag("trace_exact", self.trace_exact)
+            .flag("zero_alloc", self.zero_alloc)
+            .int("recording_allocs", self.recording_allocs)
+            .num("overhead_ratio", self.overhead_ratio, 3)
+            .num("traced_tok_per_s", self.traced_tok_per_s, 2)
+            .num("untraced_tok_per_s", self.untraced_tok_per_s, 2)
+            .int("ticks", self.ticks)
+            .int("trace_events", self.trace_events)
+            .int("trace_dropped", self.trace_dropped)
+            .num("assemble_us", self.assemble_us, 1)
+            .num("encode_us", self.encode_us, 1)
+            .num("qgemm_us", self.qgemm_us, 1)
+            .num("attention_us", self.attention_us, 1)
+            .num("kv_append_us", self.kv_append_us, 1)
+            .num("feedback_us", self.feedback_us, 1)
+            .num("stage_sum_us", self.stage_sum_us, 1)
+            .num("tick_sum_us", self.tick_sum_us, 1)
+            .num("stage_cover", self.stage_cover, 3)
     }
 }
 
@@ -1183,10 +1045,6 @@ mod tests {
         assert!(r.zero_leak, "chaos run leaked sessions: {r:?}");
         assert!(r.finished >= 1);
         assert_eq!(r.panics_recovered, 2 * r.failed, "exact attribution");
-        let json = r.to_json();
-        assert!(json.contains("\"chaos_exact\": true"));
-        assert!(json.contains("\"zero_leak\": true"));
-        assert!(json.contains("\"recovery_ticks\""));
     }
 
     #[test]
@@ -1208,7 +1066,7 @@ mod tests {
         assert!(r.page_reuses >= 1, "churn must recycle the free list");
         assert!(r.hit_rate > 0.0);
         assert!(r.fragmentation > 0.0, "tail pages are partially filled");
-        let json = r.to_json();
+        let json = r.to_json().render();
         assert!(json.contains("\"reuse_exact\": true"));
         assert!(json.contains("\"zero_leak\": true"));
         assert!(json.contains("\"hit_rate\""));
@@ -1261,7 +1119,7 @@ mod tests {
         );
         // The library's own test process never installs the counting
         // allocator, so the witness reports "skipped", not a vacuous pass.
-        let json = r.to_json();
+        let json = r.to_json().render();
         assert!(json.contains("\"trace_exact\": true"));
         assert!(json.contains("\"zero_alloc\": null"));
         assert!(json.contains("\"stage_cover\""));
@@ -1283,7 +1141,7 @@ mod tests {
         assert!(r.speedup_batch > 0.0 && r.decode_tok_per_s > 0.0);
         assert!(r.latency_p99_steps >= r.latency_p50_steps);
         assert!(r.peak_batch >= 2, "peak batch {}", r.peak_batch);
-        let json = r.to_json();
+        let json = r.to_json().render();
         assert!(json.contains("\"batch_exact\": true"));
         assert!(json.contains("\"speedup_batch\""));
     }

@@ -20,7 +20,8 @@
 //! [`QuantizedModel`] pairs the two into the single-session API:
 //!
 //! * [`QuantizedModel::forward_batch`] — reset the KV cache and run a full
-//!   causal batch (the throughput surface the `e2e_model` driver times);
+//!   causal batch (the throughput surface the `e2e_model` bench section
+//!   times);
 //! * [`QuantizedModel::prefill`] / [`QuantizedModel::decode`] — the
 //!   serving loop: append tokens to the session's paged KV state and
 //!   return their outputs. Prefill-then-decode is **bit-identical** to the
@@ -1299,7 +1300,7 @@ impl QuantizedModel {
 
     /// [`Self::forward_batch`] that also returns the residual stream after
     /// every layer — the per-layer observability hook the `e2e_model`
-    /// driver's NRMSE report uses.
+    /// bench section's NRMSE report uses.
     ///
     /// # Errors
     ///

@@ -24,7 +24,8 @@
 //! rows and KV cache, so each request's generation is **bit-identical to
 //! running it alone** ([`run_solo`]) — for any arrival interleaving, batch
 //! composition and worker-thread count. `tests/proptest_serve.rs` pins
-//! this; the `serve_bench` driver hard-gates it in CI (`batch_exact`).
+//! this; the `serve` section of `bench_m2xfp_json` hard-gates it in CI
+//! (`batch_exact`).
 //!
 //! **Fault tolerance:** every submitted id resolves to exactly one typed
 //! [`RequestOutcome`] (`Finished | Cancelled | DeadlineExceeded | Rejected
