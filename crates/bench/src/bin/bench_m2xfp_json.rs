@@ -117,9 +117,9 @@ fn main() {
     let exact = bits_eq(&want, &qgemm(&xt, &wt)) && bits_eq(&want, &packed_gemm(threads));
 
     // Decode-kernel section: the m == 1 GEMV shape serving hits once per
-    // projection per layer per decode step, through a cached WeightPlane
-    // and a reused scratch. `speedup_gemv` (grouped PE pipeline over the
-    // register-blocked packed kernel, both at m == 1, both in this
+    // projection per layer per decode step, through a WeightPlane over the
+    // packed streams and a reused scratch. `speedup_gemv` (grouped PE
+    // pipeline over the packed kernel, both at m == 1, both in this
     // process) is the hardware-normalized ratio CI hard-gates.
     let x1 = Matrix::from_fn(1, k, |_, _| rng.laplace(1.0));
     let x1t = ActTensor::quantize(&x1, cfg);

@@ -113,7 +113,7 @@ pub fn run(cfg: E2eConfig) -> E2eReport {
     let backends_exact = bits_eq(&y_packed, &y_grouped);
 
     // Serving loop: prefill half the batch, then single-token decodes on
-    // the decode-on-append KV path (each step grows the prepared K plane
+    // the append-only KV path (each step grows the prepared K streams
     // and cached V rows incrementally — O(1) per head per step).
     let prefill_rows = (cfg.tokens / 2).max(1);
     let decode_s = {

@@ -4,7 +4,7 @@
 //! representation and a GEMM kernel. Weights are prepared **once** per
 //! layer ([`BackendKind::prepare`]) into a [`PreparedWeights`], which
 //! records its execution form and runs the matching kernel itself
-//! ([`PreparedWeights::forward_scratch`]) — the decode-once contract that
+//! ([`PreparedWeights::forward_scratch`]) — the prepare-once contract that
 //! `m2x_nn::linear` and `m2x_nn::model` build on. Both forms consume the
 //! same canonical weight bits (a [`PackedWeightTensor`] produced by the
 //! threaded integer-LUT Sg-EM search) and are **bit-identical** to the f64
@@ -12,8 +12,9 @@
 //! it:
 //!
 //! * [`BackendKind::Packed`] — the production hot path: branch-free packed
-//!   activation encode, cached [`WeightPlane`] decode, register-blocked
-//!   threaded integer [`qgemm_packed_planed_scratch`].
+//!   activation encode and the threaded integer
+//!   [`qgemm_packed_planed_scratch`] straight off the 4.5-bit weight
+//!   streams (a [`WeightPlane`] holds them; nothing is decoded ahead).
 //! * [`BackendKind::Grouped`] — the `Vec<Group>` pipeline, the readable
 //!   model of the PE ([`qgemm`]); the end-to-end gates time a whole-model
 //!   packed forward against it.
@@ -73,18 +74,20 @@ impl BackendKind {
         self
     }
 
-    /// Decodes quantized weights into this form. Do this once per layer
-    /// (it is the O(N·K) decode) and reuse the result across forwards.
+    /// Prepares quantized weights for this form: the packed form takes
+    /// the streams as they are, the grouped form also rebuilds the
+    /// per-group structs (O(N·K)). Do this once per layer and reuse the
+    /// result across forwards.
     pub fn prepare(self, weights: PackedWeightTensor) -> PreparedWeights {
         let exec = match self {
-            BackendKind::Packed => ExecForm::Plane(WeightPlane::decode(&weights)),
-            BackendKind::Grouped => ExecForm::Grouped(weights.to_grouped()),
+            BackendKind::Packed => ExecForm::Plane(WeightPlane::from(weights)),
+            BackendKind::Grouped => {
+                let grouped = weights.to_grouped();
+                ExecForm::Grouped(weights, grouped)
+            }
         };
         PreparedWeights {
-            inner: Arc::new(PreparedInner {
-                packed: weights,
-                exec,
-            }),
+            inner: Arc::new(exec),
         }
     }
 
@@ -100,56 +103,53 @@ impl BackendKind {
 }
 
 /// A weight tensor prepared for repeated forwards: the canonical packed
-/// streams plus the decoded execution form (fixed-point [`WeightPlane`]
-/// for the packed kernel, reconstructed [`WeightTensor`] groups for the
-/// grouped kernel). The form picks the kernel, so a forward can never be
-/// handed weights of the wrong form.
+/// streams, which the packed kernel reads in place (one copy, held by a
+/// [`WeightPlane`]), or those streams plus the reconstructed
+/// [`WeightTensor`] groups of the grouped kernel. The form picks the
+/// kernel, so a forward can never be handed weights of the wrong form.
 ///
-/// The decoded state lives behind an [`Arc`], so `Clone` is O(1) and never
-/// re-decodes: one prepared layer can be shared across any number of
+/// The prepared state lives behind an [`Arc`], so `Clone` is O(1) and
+/// never copies it: one prepared layer can be shared across any number of
 /// concurrent inference sessions or threads (`m2x_serve` builds on exactly
 /// this — N sessions cost N KV caches, not N weight copies). Mutation
 /// ([`Self::append_quantized`], the KV-cache growth path) is copy-on-write:
 /// unshared handles mutate in place, shared ones clone first.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedWeights {
-    inner: Arc<PreparedInner>,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct PreparedInner {
-    packed: PackedWeightTensor,
-    exec: ExecForm,
+    inner: Arc<ExecForm>,
 }
 
 #[derive(Debug, Clone, PartialEq)]
 enum ExecForm {
     Plane(WeightPlane),
-    Grouped(WeightTensor),
+    Grouped(PackedWeightTensor, WeightTensor),
 }
 
 impl PreparedWeights {
     /// The form these weights were prepared into.
     pub fn kind(&self) -> BackendKind {
-        match self.inner.exec {
+        match *self.inner {
             ExecForm::Plane(_) => BackendKind::Packed,
-            ExecForm::Grouped(_) => BackendKind::Grouped,
+            ExecForm::Grouped(..) => BackendKind::Grouped,
         }
     }
 
     /// Matrix shape `(rows, cols)` = `(out_features, in_features)`.
     pub fn shape(&self) -> (usize, usize) {
-        self.inner.packed.shape()
+        self.packed().shape()
     }
 
     /// The configuration the weights were quantized with.
     pub fn config(&self) -> &M2xfpConfig {
-        self.inner.packed.config()
+        self.packed().config()
     }
 
     /// The canonical three-stream weight bits.
     pub fn packed(&self) -> &PackedWeightTensor {
-        &self.inner.packed
+        match &*self.inner {
+            ExecForm::Plane(plane) => plane.packed(),
+            ExecForm::Grouped(packed, _) => packed,
+        }
     }
 
     /// W4A4 forward `y = Q_a(x) · Wᵀ` through this form's encoder and
@@ -175,23 +175,25 @@ impl PreparedWeights {
                 got: x.cols(),
             });
         }
-        Ok(match &self.inner.exec {
+        Ok(match &*self.inner {
             ExecForm::Plane(plane) => {
                 // Auto-threaded online encode; decode-sized batches stay
                 // single-threaded below the work threshold.
                 let xq = PackedActTensor::quantize_parallel(x, *self.config());
                 qgemm_packed_planed_scratch(&xq, plane, gemm_threads(x.rows(), k, n), scratch)
             }
-            ExecForm::Grouped(grouped) => qgemm(&ActTensor::quantize(x, *self.config()), grouped),
+            ExecForm::Grouped(_, grouped) => {
+                qgemm(&ActTensor::quantize(x, *self.config()), grouped)
+            }
         })
     }
 
     /// Quantizes `rows` (Sg-EM search) and appends them below the prepared
     /// weights, updating the execution form incrementally — O(rows) per
     /// call regardless of how many rows are already prepared. This is the
-    /// decode-on-append path a growing KV cache rides: the appended rows
-    /// quantize and decode independently, so the result is bit-identical to
-    /// re-preparing the row-concatenated tensor (pinned by tests).
+    /// append path a growing KV cache rides: the appended rows quantize
+    /// independently, so the result is bit-identical to re-preparing the
+    /// row-concatenated tensor (pinned by tests).
     ///
     /// # Errors
     ///
@@ -202,11 +204,11 @@ impl PreparedWeights {
     }
 
     /// Appends already-quantized rows below the prepared tensor, updating
-    /// both the canonical streams and the execution form **incrementally**
-    /// — O(delta), never a re-decode of the existing rows (the plane
-    /// appends decoded rows, the grouped form appends groups).
-    /// Bit-identical to re-preparing the row-concatenated tensor, which the
-    /// tests pin. Copy-on-write when the handle is shared.
+    /// the execution form **incrementally** — O(delta), never a rebuild of
+    /// the existing rows (the streams grow by the delta's bytes, the
+    /// grouped form also appends groups). Bit-identical to re-preparing
+    /// the row-concatenated tensor, which the tests pin. Copy-on-write
+    /// when the handle is shared.
     ///
     /// # Errors
     ///
@@ -224,12 +226,13 @@ impl PreparedWeights {
                 "appended rows were quantized with a different config",
             ));
         }
-        let inner = Arc::make_mut(&mut self.inner);
-        match &mut inner.exec {
+        match Arc::make_mut(&mut self.inner) {
             ExecForm::Plane(plane) => plane.append(&delta),
-            ExecForm::Grouped(grouped) => grouped.append_tensor(delta.to_grouped()),
+            ExecForm::Grouped(packed, grouped) => {
+                grouped.append_tensor(delta.to_grouped());
+                packed.append_packed(&delta)
+            }
         }
-        inner.packed.append_packed(delta)
     }
 
     /// Drops all rows while keeping the allocations when the handle is
@@ -240,10 +243,12 @@ impl PreparedWeights {
     /// in place and is replaced by a fresh empty preparation instead.
     pub fn clear_rows(&mut self) {
         if let Some(inner) = Arc::get_mut(&mut self.inner) {
-            inner.packed.clear_rows();
-            match &mut inner.exec {
+            match inner {
                 ExecForm::Plane(plane) => plane.clear_rows(),
-                ExecForm::Grouped(grouped) => grouped.clear_rows(),
+                ExecForm::Grouped(packed, grouped) => {
+                    packed.clear_rows();
+                    grouped.clear_rows();
+                }
             }
         } else {
             let empty = PackedWeightTensor::empty(self.shape().1, *self.config());
@@ -251,15 +256,13 @@ impl PreparedWeights {
         }
     }
 
-    /// Heap bytes of the decoded execution form — the working state that
-    /// rides alongside the canonical packed streams (fixed-point plane for
-    /// the packed form, reconstructed groups for the grouped one).
-    /// Packed-stream accounting alone understates a prepared tensor's real
-    /// footprint by roughly this much.
+    /// Heap bytes held on top of the canonical packed streams: 0 for the
+    /// packed form (its kernel reads the streams in place), the
+    /// reconstructed groups for the grouped one.
     pub fn decoded_bytes(&self) -> usize {
-        match &self.inner.exec {
-            ExecForm::Plane(plane) => plane.decoded_bytes(),
-            ExecForm::Grouped(grouped) => grouped
+        match &*self.inner {
+            ExecForm::Plane(_) => 0,
+            ExecForm::Grouped(_, grouped) => grouped
                 .groups()
                 .iter()
                 .map(|g| {

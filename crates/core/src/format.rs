@@ -521,7 +521,7 @@ impl PackedStreams {
     /// sides must share `cols` and the configuration; groups quantize
     /// independently, so the result is byte-identical to quantizing the
     /// row-concatenated matrix in one pass.
-    fn append(&mut self, more: PackedStreams) {
+    fn append(&mut self, more: &PackedStreams) {
         assert_eq!(self.cols, more.cols, "appended rows have a different width");
         assert_eq!(self.cfg, more.cfg, "appended rows use a different config");
         let spg = self.cfg.group_size / self.cfg.subgroup_size;
@@ -782,7 +782,7 @@ impl PackedWeightTensor {
             });
         }
         let add = PackedWeightTensor::quantize_parallel(rows, self.s.cfg);
-        self.s.append(add.s);
+        self.s.append(&add.s);
         Ok(())
     }
 
@@ -790,12 +790,12 @@ impl PackedWeightTensor {
     /// below the existing rows — the zero-requantization half of
     /// [`Self::append_rows`], for callers that quantized the delta once and
     /// reuse it in several places (e.g. the KV cache appending the same
-    /// token rows into the packed store and a decoded execution plane).
+    /// token rows into the packed store and its dequantized V rows).
     ///
     /// # Errors
     ///
     /// Fails on a width or configuration mismatch.
-    pub fn append_packed(&mut self, other: PackedWeightTensor) -> Result<(), Error> {
+    pub fn append_packed(&mut self, other: &PackedWeightTensor) -> Result<(), Error> {
         if other.s.cols != self.s.cols {
             return Err(Error::WidthMismatch {
                 tensor: "packed weight tensor".to_string(),
@@ -808,7 +808,7 @@ impl PackedWeightTensor {
                 "appended packed rows were quantized with a different config",
             ));
         }
-        self.s.append(other.s);
+        self.s.append(&other.s);
         Ok(())
     }
 

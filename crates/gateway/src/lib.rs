@@ -688,7 +688,7 @@ fn render_metrics(ctx: &Ctx) -> String {
         o,
         "m2x_serve_kv_decoded_bytes",
         "gauge",
-        "Decoded f32 KV bytes held by in-flight sessions (not budgeted).",
+        "Dequantized f32 V-row bytes held by in-flight sessions; K pages hold only packed streams (not budgeted).",
         s.kv_decoded_bytes,
     );
     render_metric(
@@ -1153,7 +1153,7 @@ m2x_serve_kv_free_pages 0
 # HELP m2x_serve_kv_packed_bytes Packed KV bytes held by in-flight sessions (the budgeted payload).
 # TYPE m2x_serve_kv_packed_bytes gauge
 m2x_serve_kv_packed_bytes 0
-# HELP m2x_serve_kv_decoded_bytes Decoded f32 KV bytes held by in-flight sessions (not budgeted).
+# HELP m2x_serve_kv_decoded_bytes Dequantized f32 V-row bytes held by in-flight sessions; K pages hold only packed streams (not budgeted).
 # TYPE m2x_serve_kv_decoded_bytes gauge
 m2x_serve_kv_decoded_bytes 0
 # HELP m2x_serve_kv_fragmentation Unused token-row fraction of the KV pages in flight.

@@ -8,9 +8,9 @@
 //!
 //! * **Pages** — fixed-size frames of `PageEntry` blocks, one entry per
 //!   `(layer, kv_head)`, each holding the packed three-stream KV block
-//!   (nibble FP4 codes | E8M0 scales | 2-bit Sg-EM meta) plus its decoded
-//!   working state (the K execution plane inside [`PreparedWeights`], the
-//!   dequantized V rows). A page spans [`PoolGeometry::page_tokens`]
+//!   (nibble FP4 codes | E8M0 scales | 2-bit Sg-EM meta) — K inside a
+//!   [`PreparedWeights`] whose kernel reads those streams in place — plus
+//!   the dequantized V rows. A page spans [`PoolGeometry::page_tokens`]
 //!   tokens, validated to be a multiple of the quantization group size so
 //!   a page never splits a group — which is what makes per-page appends
 //!   and per-page attention bit-identical to the monolithic layout.
@@ -38,7 +38,7 @@
 //! Accounting is honest about both representations:
 //! [`PagedKv::packed_bytes`] counts the canonical 4.5-bit streams (what
 //! the serving admission budget gates on) and [`PagedKv::decoded_bytes`]
-//! counts the decoded K planes + dequantized-V working state on top.
+//! counts the dequantized-V working state on top.
 
 use m2x_tensor::Matrix;
 use m2xfp::backend::{BackendKind, PreparedWeights};
@@ -173,8 +173,8 @@ impl PoolGeometry {
 }
 
 /// One `(layer, kv_head)` KV block of a page: K rows prepared into the
-/// execution form (packed streams + decoded score-GEMM operand, grown
-/// decode-on-append) and V rows quantized per token with their
+/// packed execution form (the streams the score GEMV reads in place,
+/// grown by append) and V rows quantized per token with their
 /// dequantized form cached. `Clone` is cheap on K (`PreparedWeights` is
 /// Arc-internal CoW) and deep on the V state.
 #[derive(Debug, Clone)]
@@ -661,7 +661,7 @@ impl PagedKv {
     /// Quantizes and appends new K/V projection rows (`[tokens, kv_dim]`)
     /// for layer `li`, splitting them across page boundaries. Within a
     /// page the per-head work is exactly the old monolithic append — K
-    /// rows decode-on-append into the prepared form, V rows quantize once
+    /// rows append to the prepared form's streams, V rows quantize once
     /// and cache their dequantized values — so paged growth is
     /// bit-identical to the unpaged cache. Appending through a shared
     /// handle clones the page first (copy-on-write).
@@ -700,7 +700,7 @@ impl PagedKv {
                 let vs = slice_block(v_new, done, take, h * geom.head_dim, geom.head_dim);
                 let vq = PackedWeightTensor::quantize_parallel(&vs, geom.cfg);
                 e.v_rows.push_rows(&vq.dequantize());
-                e.v.append_packed(vq)?;
+                e.v.append_packed(&vq)?;
             }
             self.layer_len[li] = pos + take;
             done += take;
@@ -740,8 +740,8 @@ impl PagedKv {
             .sum()
     }
 
-    /// Decoded working state on top of the packed streams: the K
-    /// execution planes plus the dequantized V row cache. Unmetered by
+    /// Decoded working state on top of the packed streams: the
+    /// dequantized V row cache (the K form adds nothing). Unmetered by
     /// the admission budget, reported separately so accounting is honest.
     pub fn decoded_bytes(&self) -> usize {
         self.pages

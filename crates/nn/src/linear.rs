@@ -35,10 +35,9 @@ pub type LinearError = Error;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedLinear {
-    /// Weights prepared for the chosen form: the canonical three-stream
-    /// bits plus the decoded execution form (e.g. the GEMM kernel's
-    /// fixed-point plane), so repeated [`Self::forward_scratch`] calls skip
-    /// the O(N·K) decode.
+    /// Weights prepared once for the chosen form (the packed form keeps
+    /// just the canonical three-stream bits, which its kernel reads in
+    /// place), shared by every [`Self::forward_scratch`] call.
     prepared: PreparedWeights,
 }
 

@@ -40,11 +40,11 @@
 //! Sg-EM weight representation and consumed by the prepared form's
 //! quantized score GEMM; V rows are Sg-EM-quantized per token and
 //! dequantized at use; Q and the probability matrix P run the online
-//! Elem-EM path. The cache grows **decode-on-append**
+//! Elem-EM path. The cache grows **append-only**
 //! ([`PreparedWeights::append_rows`](m2xfp::backend::PreparedWeights::append_rows)):
-//! each new token's rows are quantized and decoded straight into the
-//! prepared execution form, so a decode step costs O(1) per head instead of
-//! re-decoding the whole K plane. Every quantized operand is prepared into
+//! each new token's rows are quantized and appended to the prepared
+//! form's packed streams, so a decode step costs O(1) per head instead of
+//! re-quantizing the whole K history. Every quantized operand is prepared into
 //! one [`BackendKind`] form, so the whole model is bit-identical across the
 //! packed and grouped engines.
 
@@ -313,8 +313,8 @@ impl SessionState {
         self.kv.packed_bytes()
     }
 
-    /// Decoded KV working state in bytes: the K execution planes plus the
-    /// dequantized V row cache. Not metered by the admission budget —
+    /// Decoded KV working state in bytes: the dequantized V row cache (K
+    /// pages hold only their packed streams). Not metered by the admission budget —
     /// reported alongside [`Self::kv_bytes`] so accounting stays honest.
     pub fn kv_decoded_bytes(&self) -> usize {
         self.kv.decoded_bytes()
@@ -855,7 +855,7 @@ impl ModelWeights {
             };
 
             // Grow every session's paged cache with its own K/V rows
-            // (decode-on-append per page: O(new rows) per session,
+            // (append per page: O(new rows) per session,
             // independent of history; shared pages fork copy-on-write).
             {
                 let _t = StageTimer::start(&mut tally, stage::KV_APPEND);

@@ -109,10 +109,10 @@ pub struct ServeConfig {
     /// scales | 2-bit meta), with a page shared between sessions counted
     /// once per holder — the same sum
     /// [`ServeStats::kv_packed_bytes`] reports. The decoded
-    /// f32 planes the engine also keeps (prepared-K exec planes + the
-    /// dequantized V row cache) are reported honestly as
-    /// [`ServeStats::kv_decoded_bytes`] but are **not** gated:
-    /// they are a deterministic multiple of the packed payload, so one
+    /// f32 state the engine also keeps (the dequantized V row cache; K
+    /// pages hold only their packed streams) is reported honestly as
+    /// [`ServeStats::kv_decoded_bytes`] but is **not** gated:
+    /// it is a deterministic multiple of the packed payload, so one
     /// knob suffices.
     pub kv_budget_bytes: usize,
     /// Record telemetry (trace events, per-stage timing and latency

@@ -8,9 +8,9 @@
 //! (bit-identical by construction), and drives a `QuantizedModel` prefill→decode session
 //! whose KV state grows in fixed-size pages drawn from the process-wide
 //! `KvPagePool`, packed in the Sg-EM representation —
-//! decode-on-append: each new token's K rows are quantized and decoded
-//! straight into the prepared score-GEMM plane, so a decode step costs
-//! O(1) per head instead of re-decoding the whole cache.
+//! append-only: each new token's K rows are quantized and appended to the
+//! packed streams the score GEMV reads in place, so a decode step costs
+//! O(1) per head instead of re-quantizing the whole cache.
 //!
 //! Run with: `cargo run --release --example kv_cache`
 

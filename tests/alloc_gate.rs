@@ -7,7 +7,10 @@
 //! *runtime* behaviour the discipline exists for:
 //!
 //! 1. the decode GEMV micro-kernel ([`qgemv_packed_into`]) performs
-//!    **zero** heap allocations once its scratch is warm, and
+//!    **zero** heap allocations once its scratch is warm — on the body it
+//!    dispatches to, which must be the AVX2 one whenever the host has
+//!    AVX2 ([`kernel_isa`]), so a silent scalar fallback cannot pass —
+//!    and
 //! 2. the serving engine's decode tick stays within a fixed per-step
 //!    allocation budget that does not grow with sequence length —
 //!    the structural allocations (per-layer activation matrices, KV
@@ -25,7 +28,7 @@
 
 use m2xfp_repro::core::format::{PackedActTensor, PackedWeightTensor};
 use m2xfp_repro::core::gemm::{
-    qgemm_packed_planed_scratch, qgemv_packed_into, GemmScratch, WeightPlane,
+    kernel_isa, qgemm_packed_planed_scratch, qgemv_packed_into, GemmScratch, WeightPlane,
 };
 use m2xfp_repro::core::M2xfpConfig;
 use m2xfp_repro::nn::model::{ModelBuilder, ModelWeights};
@@ -105,8 +108,18 @@ fn telemetry_recording_zero_allocations() {
 
 /// After one warm-up call, `qgemv_packed_into` is allocation-free for any
 /// number of decode steps at that shape — and bit-identical to the
-/// production `qgemm_packed_planed_scratch` entry at one row.
+/// production `qgemm_packed_planed_scratch` entry at one row. The body
+/// measured is the dispatched one, AVX2 on any host that has it.
 fn gemv_zero_allocations_after_warmup() {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        assert_eq!(
+            kernel_isa(),
+            "avx2",
+            "AVX2 host fell back to the scalar body"
+        );
+    }
+    println!("alloc gate GEMV body: {}", kernel_isa());
     let (acts, plane) = gemv_inputs();
     let mut scratch = GemmScratch::new();
     let mut out = vec![0.0f32; 48];

@@ -5,8 +5,8 @@
 use m2xfp_repro::core::activation::{dequantize_group, fake_quantize_group, quantize_group};
 use m2xfp_repro::core::format::{ActTensor, PackedActTensor, PackedWeightTensor, WeightTensor};
 use m2xfp_repro::core::gemm::{
-    qgemm, qgemm_packed_planed_scratch, qgemm_reference, qgemv_packed_into, GemmScratch,
-    WeightPlane,
+    qgemm, qgemm_packed_on, qgemm_packed_planed_scratch, qgemm_reference, qgemv_packed_into,
+    GemmScratch, KernelIsa, WeightPlane,
 };
 use m2xfp_repro::core::strategy::{MetadataStrategy, ScaleMode};
 use m2xfp_repro::core::weight;
@@ -274,6 +274,54 @@ fn decode_kernels_bit_exact() {
                 g.case
             );
         }
+    });
+}
+
+/// Every kernel body this host runs — the AVX2 body whenever the host
+/// has AVX2, the portable scalar body always — equals the f64 reference
+/// bit for bit: m = 1..=9 (one-row, row-block and column-split shapes),
+/// n often below the worker count or not a multiple of 4, ragged K up to
+/// a 4100-wide reduction, 1–3 workers, both metadata granularities (16 is
+/// the scalar fallback) and every `ScaleRule`.
+#[test]
+fn kernel_bodies_bit_exact() {
+    let mut scratch = GemmScratch::new();
+    cases(48, |g| {
+        let cfg = M2xfpConfig {
+            subgroup_size: [8usize, 16][g.below(2)],
+            scale_rule: ScaleRule::ALL[g.case % ScaleRule::ALL.len()],
+            ..M2xfpConfig::default()
+        };
+        let m = 1 + g.below(9);
+        let n = g.below(10);
+        let k = [41, 80, 4100, 1 + g.below(200)][g.below(4)];
+        let threads = 1 + g.below(3);
+        let wm = Matrix::from_vec(n, k, g.vec_f32(n * k, -4.0, 4.0));
+        let xm = Matrix::from_vec(m, k, g.vec_f32(m * k, -16.0, 16.0));
+        let want = qgemm_reference(
+            &ActTensor::quantize(&xm, cfg),
+            &WeightTensor::quantize(&wm, cfg),
+        );
+        let xp = PackedActTensor::quantize(&xm, cfg);
+        let plane = WeightPlane::decode(&PackedWeightTensor::quantize(&wm, cfg));
+        let mut ran = Vec::new();
+        for isa in KernelIsa::ALL {
+            let Some(got) = qgemm_packed_on(isa, &xp, &plane, threads, &mut scratch) else {
+                continue;
+            };
+            ran.push(isa);
+            for (idx, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "case {} {isa:?} at {idx}: m={m} n={n} k={k} threads={threads} sg={} rule={:?}",
+                    g.case,
+                    cfg.subgroup_size,
+                    cfg.scale_rule
+                );
+            }
+        }
+        assert!(ran.contains(&KernelIsa::detect()), "case {}", g.case);
     });
 }
 
